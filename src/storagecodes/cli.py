@@ -278,23 +278,37 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
+def _common_options(with_defaults: bool) -> argparse.ArgumentParser:
+    """Options accepted both before and after the subcommand.
+
+    Without defaults (the copy after the subcommand), an option that is
+    not repeated there keeps the value given before the subcommand.
+    """
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--output")
+    common.add_argument("--horizon", type=int)
+    common.add_argument("--rounds", type=int)
+    common.add_argument("--format", choices=["text", "record-stream"])
+    if with_defaults:
+        common.set_defaults(seed=0, output=None, horizon=0, rounds=100, format="text")
+    return common
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storagecode",
         description="GF(2) distributed-storage codes: validation, simulation, bounds, games",
+        parents=[_common_options(True)],
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--horizon", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=100)
-    parser.add_argument("--format", choices=["text", "record-stream"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
+    after = [_common_options(False)]
 
-    p = sub.add_parser("validate", help="check a code file and print its profile")
+    p = sub.add_parser("validate", help="check a code file and print its profile", parents=after)
     p.add_argument("path")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("construct", help="write a named code to a file")
+    p = sub.add_parser("construct", help="write a named code to a file", parents=after)
     p.add_argument("name", choices=["example1", "rbt-mbr", "repetition", "parity", "example3"])
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r", type=int, default=3)
@@ -302,11 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["split", "copy"], default="split")
     p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("simulate", help="run seeded failure/repair rounds on a code file")
+    p = sub.add_parser(
+        "simulate", help="run seeded failure/repair rounds on a code file", parents=after
+    )
     p.add_argument("path")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("bound", help="evaluate a closed-form bound")
+    p = sub.add_parser("bound", help="evaluate a closed-form bound", parents=after)
     p.add_argument(
         "name",
         choices=[
@@ -324,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="alpha-eq-beta")
     p.set_defaults(fn=cmd_bound)
 
-    p = sub.add_parser("game", help="verify a locality-rate theorem by game search")
+    p = sub.add_parser("game", help="verify a locality-rate theorem by game search", parents=after)
     p.add_argument("--case", required=True, choices=["alpha-eq-beta", "alpha-eq-r-beta", "r2"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)

@@ -163,12 +163,16 @@ def loads(text: str) -> CodeFile:
 
     plans: Optional[Dict[int, RepairPlan]] = None
     if "repair_plans" in doc:
+        if not isinstance(doc["repair_plans"], dict):
+            raise CodeFileError("'repair_plans' must be an object")
         plans = {}
         for key, entry in doc["repair_plans"].items():
             try:
                 failed = int(key)
                 helpers = tuple(int(h) for h in entry["helpers"])
                 beta = int(entry["beta"])
+                if not isinstance(entry["spaces"], dict):
+                    raise TypeError("'spaces' must be an object")
                 spaces = {
                     int(h): Subspace.spanned_by(
                         code.message_dim,

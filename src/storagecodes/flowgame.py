@@ -5,6 +5,10 @@ incarnation additionally receives one beta-edge from each helper's out
 vertex.  The data collector attaches to the out vertices of all live
 incarnations, and the game value is the smallest collector-side min cut
 KILLER can force within a finite number of kill/rebuild rounds.
+
+A rebuild never changes the collector value (the newcomer's helpers are
+live, so their out vertices already reach the sink without bound), so
+the search runs one max flow per killed state.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ def rebuild(g: FlowGraph, helpers: Iterable[int], alpha: int, beta: int) -> Flow
 
 def _dinic(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int) -> int:
     """Exact integral max flow (Dinic) on integer capacities."""
-    head: List[int] = []
     to: List[int] = []
     cap: List[int] = []
     adj: List[List[int]] = [[] for _ in range(n_vertices)]
@@ -98,28 +101,30 @@ def _dinic(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int) -
                     queue.append(to[e])
         if level[t] < 0:
             return flow
-        it = [0] * n_vertices
-
-        def dfs(u: int, pushed: int) -> int:
-            if u == t:
-                return pushed
-            while it[u] < len(adj[u]):
-                e = adj[u][it[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, cap[e]))
-                    if got:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0
-
+        it = [0] * n_vertices  # next edge to try at each vertex
+        path: List[int] = []  # level-graph edges from s to u
+        u = s
         while True:
-            pushed = dfs(s, 1 << 62)
-            if not pushed:
-                break
-            flow += pushed
+            if u == t:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                flow += pushed
+                path, u = [], s
+            edges_u = adj[u]
+            while it[u] < len(edges_u):
+                e = edges_u[it[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = to[e]
+                    break
+                it[u] += 1
+            else:
+                if u == s:
+                    break
+                u = to[path.pop() ^ 1]  # dead end: retreat and skip that edge
+                it[u] += 1
 
 
 def build_flow_network(
@@ -202,7 +207,9 @@ def canonical_key(g: FlowGraph) -> str:
 
     Only ancestors of live incarnations can influence any future
     collector value, so the key is a canonical form of that subgraph
-    (iterated color refinement with individualization on ties).
+    (iterated color refinement with individualization on ties).  Swapping
+    twins (same color, helpers and children) is an automorphism, so one
+    member per twin class is individualized; the key is unchanged.
     """
     rel = _ancestors_of_live(g)
     index = {v: i for i, v in enumerate(rel)}
@@ -237,7 +244,7 @@ def canonical_key(g: FlowGraph) -> str:
         pos = {v: i for i, v in enumerate(order)}
         parts = []
         for v in order:
-            hs = ",".join(f"{b}:{pos[h]}" for b, h in sorted((b, h) for b, h in helpers[v]))
+            hs = ",".join(f"{b}:{p}" for b, p in sorted((b, pos[h]) for b, h in helpers[v]))
             parts.append(f"{int(live[v])}|{alphas[v]}|{hs}")
         return ";".join(parts)
 
@@ -251,15 +258,12 @@ def canonical_key(g: FlowGraph) -> str:
             order = sorted(range(n), key=lambda i: colors[i])
             return encode(order)
         target = min(ambiguous, key=lambda ms: (len(ms), colors[ms[0]]))
-        best: Optional[str] = None
         fresh = max(colors) + 1
-        for member in target:
-            branched = list(colors)
-            branched[member] = fresh
-            candidate = canonize(branched)
-            if best is None or candidate < best:
-                best = candidate
-        return best  # type: ignore[return-value]
+        twins = {(helpers[m], tuple(children[m])): m for m in target}
+        return min(
+            canonize([fresh if i == member else c for i, c in enumerate(colors)])
+            for member in twins.values()
+        )
 
     initial = [
         (live[i], alphas[i], len(helpers[i]) == 0) for i in range(n)
@@ -331,9 +335,9 @@ class _Searcher:
         self.table: Dict[Tuple[str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
         self.table_b: Dict[Tuple[str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
         # Window-independent per-position caches, keyed by the labeled graph:
-        # deduplicated kill moves and sorted rebuild candidates with cuts.
+        # deduplicated kill moves, and the killed state's cut with its rebuilds.
         self.kill_cache: Dict[FlowGraph, List[Tuple[int, FlowGraph, str]]] = {}
-        self.cand_cache: Dict[FlowGraph, List[Tuple[int, Tuple[int, ...], FlowGraph]]] = {}
+        self.cand_cache: Dict[FlowGraph, Tuple[int, List[Tuple[Tuple[int, ...], FlowGraph]]]] = {}
 
     def _check_cap(self) -> None:
         if len(self.table) + len(self.table_b) >= self.memo_cap:
@@ -354,15 +358,13 @@ class _Searcher:
             self.kill_cache[g] = hit
         return hit
 
-    def _candidates(self, g: FlowGraph) -> List[Tuple[int, Tuple[int, ...], FlowGraph]]:
+    def _candidates(self, g: FlowGraph) -> Tuple[int, List[Tuple[Tuple[int, ...], FlowGraph]]]:
         hit = self.cand_cache.get(g)
         if hit is None:
-            hit = [
-                (collector_value(child), helpers, child)
+            hit = collector_value(g), [
+                (helpers, rebuild(g, helpers, self.alpha, self.beta))
                 for helpers in combinations(sorted(g.live), self.r)
-                for child in (rebuild(g, helpers, self.alpha, self.beta),)
             ]
-            hit.sort(key=lambda t: -t[0])  # highest cut first
             self.cand_cache[g] = hit
         return hit
 
@@ -417,7 +419,8 @@ class _Searcher:
     def _builder(
         self, g: FlowGraph, rounds: int, lo: float, hi: float, kkey: str
     ) -> Tuple[float, Tuple[Move, ...]]:
-        """BUILDER replies to a kill; value folds in the post-rebuild cut."""
+        """BUILDER replies to a kill; value folds in the post-rebuild cut,
+        which every rebuild keeps at the killed state's collector value."""
         entry = (kkey, rounds)
         hit = self.table_b.get(entry)
         if hit is not None:
@@ -427,19 +430,15 @@ class _Searcher:
             ):
                 return value, line
 
-        candidates = self._candidates(g)
+        cv, candidates = self._candidates(g)
         best: float = -_INF
         best_line: Tuple[Move, ...] = ()
         orig_lo, orig_hi = lo, hi
-        for cv, helpers, child in candidates:
-            if cv <= best:
-                break  # min(cv, .) can no longer improve the max
+        for helpers, child in candidates:
             if cv <= lo:
-                # Below the window: every remaining candidate is capped by
-                # this cv, so report it as a fail-soft upper bound.
-                if cv > best:
-                    best = cv
-                    best_line = (("rebuild", helpers),)
+                # Below the window: every candidate is capped by cv, so
+                # report it as a fail-soft upper bound.
+                best, best_line = cv, (("rebuild", helpers),)
                 break
             sub, line = self.search(child, rounds - 1, lo, hi)
             value = min(cv, sub)
@@ -447,8 +446,8 @@ class _Searcher:
                 best = value
                 best_line = (("rebuild", helpers),) + line
             lo = max(lo, best)
-            if best >= hi:
-                break
+            if best >= min(cv, hi):
+                break  # cutoff, or min(cv, .) can no longer improve the max
         self._check_cap()
         if best >= orig_hi:
             flag = self.LOWER

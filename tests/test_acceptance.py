@@ -148,11 +148,12 @@ def test_criterion_5_theorem1_games():
 
 def test_criterion_6_theorem2_games():
     start = time.time()
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 7, 8, 9):
         for alpha, beta in ((1, 1), (2, 1)):
             case_start = time.time()
             rep = verify_theorem("r2", n, 2, alpha, beta, 2 * n)
             assert rep.holds, (n, alpha, beta)
+            assert rep.tight, (n, alpha, beta)
             assert not rep.capped
             assert rep.value <= theorem2_bound(n, alpha, beta)
             assert time.time() - case_start < 300

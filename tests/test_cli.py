@@ -32,6 +32,17 @@ def test_construct_writes_code_file(tmp_path, capsys):
     assert doc["mode"] == "exact" and doc["n"] == 4
 
 
+def test_common_options_after_subcommand(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    code, out, err = run(capsys, "construct", "example1", "--output", str(path))
+    assert code == EXIT_OK
+    assert json.loads(path.read_text())["n"] == 4
+    flags = ("--seed", "5", "--rounds", "10", "--format", "record-stream")
+    before = run(capsys, *flags, "simulate", str(path))
+    after = run(capsys, "simulate", str(path), *flags)
+    assert before[0] == EXIT_OK and before == after
+
+
 def test_construct_to_stdout(capsys):
     code, out, err = run(capsys, "construct", "parity", "--r", "3")
     assert code == EXIT_OK
@@ -101,6 +112,21 @@ def test_validate_declared_mismatch(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == EXIT_VALIDATION
     assert "violation" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("breakage", ["plans", "spaces"])
+def test_non_object_repair_plans_is_parse_error(tmp_path, capsys, command, breakage):
+    path = write_code(tmp_path, capsys, "example1")
+    doc = json.loads(path.read_text())
+    if breakage == "plans":
+        doc["repair_plans"] = list(doc["repair_plans"].values())
+    else:
+        doc["repair_plans"]["0"]["spaces"] = [["1001"]]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error") and err.count("\n") == 1
 
 
 def test_validate_cap_exceeded(tmp_path, capsys, monkeypatch):
