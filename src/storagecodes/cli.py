@@ -14,11 +14,12 @@ import sys
 from typing import List, Optional
 
 from . import bounds, codefile, flowgame
-from .codes import CodeError, rate_and_overhead, recovery_dimension, repair_locality
+from .codes import CodeError, rate_and_overhead, recovery_dimension, repair_locality, validate_plan
 from .constructions import example1, repetition_code, rbt_mbr, single_parity
 from .gf2 import BitVector, EnumerationCapError
 from .sim import (
     SimulationError,
+    collect,
     encode,
     encode_functional,
     run_scenario,
@@ -80,6 +81,10 @@ def cmd_validate(args) -> int:
             problems.append(f"declared k={cf.declared.k} but computed k={k}")
         if r is not None and r > cf.declared.r:
             problems.append(f"declared r={cf.declared.r} but computed locality {r}")
+    for failed, plan in sorted((cf.plans or {}).items()):
+        problems += [f"plan for node {failed}: {p}" for p in validate_plan(code, plan)]
+        if cf.declared is not None and len(plan.helpers) > cf.declared.r:
+            problems.append(f"plan for node {failed} uses more than r={cf.declared.r} helpers")
     if problems:
         for p in problems:
             print(f"violation: {p}", file=sys.stderr)
@@ -155,8 +160,6 @@ def cmd_simulate(args) -> int:
         for _ in range(max(args.rounds, 1)):
             live = sorted(state.live)
             subset = check_rng.sample(live, k)
-            from .sim import collect
-
             got = collect(state, subset)
             if got is not None:
                 if got != x:

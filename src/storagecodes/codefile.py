@@ -120,7 +120,7 @@ def loads(text: str) -> CodeFile:
 
     if mode == "functional":
         spec_name = doc.get("spec")
-        if spec_name not in _FUNCTIONAL_SPECS:
+        if not isinstance(spec_name, str) or spec_name not in _FUNCTIONAL_SPECS:
             raise CodeFileError(f"unknown functional specification {spec_name!r}")
         spec_fn, _ = _FUNCTIONAL_SPECS[spec_name]
         spec = spec_fn()
@@ -129,9 +129,9 @@ def loads(text: str) -> CodeFile:
             raise CodeFileError(f"functional file needs {spec.node_count} node bases")
         try:
             bases = tuple(BitMatrix.from_strings(rows) for rows in nodes)
+            spaces = [Subspace.spanned_by(spec.ambient_dim, b.rows) for b in bases]
         except (ValueError, TypeError) as exc:
             raise CodeFileError(f"bad node basis: {exc}") from exc
-        spaces = [Subspace.spanned_by(spec.ambient_dim, b.rows) for b in bases]
         problems = spec.violations(spaces)
         if problems:
             raise CodeFileError("initial state violates the spec: " + "; ".join(problems))

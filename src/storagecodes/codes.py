@@ -72,9 +72,7 @@ class StorageCode:
 
     @cached_property
     def subspaces(self) -> Tuple[Subspace, ...]:
-        return tuple(
-            Subspace.spanned_by(self.message_dim, mat.rows) for mat in self.node_bases
-        )
+        return tuple(Subspace.from_matrix(mat) for mat in self.node_bases)
 
     def basis_strings(self) -> List[List[str]]:
         return [mat.to_strings() for mat in self.node_bases]
@@ -252,27 +250,6 @@ def repair_locality(
             return None
         worst = max(worst, best)
     return worst
-
-
-def permute_coordinates(code: StorageCode, perm: Sequence[int]) -> StorageCode:
-    """Apply the coordinate permutation e_i -> e_perm[i] to every basis.
-
-    Test utility for checking code symmetries (automorphisms).
-    """
-    m = code.message_dim
-    if sorted(perm) != list(range(m)):
-        raise CodeError("perm must be a permutation of 0..m-1")
-    new_bases = []
-    for mat in code.node_bases:
-        words = []
-        for row in mat.rows:
-            w = 0
-            for i in range(m):
-                if row.bit(i):
-                    w |= 1 << perm[i]
-            words.append(w)
-        new_bases.append(BitMatrix.from_words(m, words))
-    return StorageCode(m, code.alpha, tuple(new_bases))
 
 
 def permute_plan(plan: RepairPlan, perm: Sequence[int], node_map: Dict[int, int]) -> RepairPlan:

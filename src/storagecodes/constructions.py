@@ -21,7 +21,7 @@ from .codes import (
     validate,
     validate_plan,
 )
-from .gf2 import BitMatrix, BitVector, Subspace, subspace_intersect, subspace_sum
+from .gf2 import BitMatrix, BitVector, Subspace, subspace_sum
 
 MAX_RBT_NODES = 11  # C(n,2) must fit the 64-bit vector packing
 
@@ -234,8 +234,9 @@ def repetition_variants(n: int, r: int, alpha: Optional[int] = None) -> List[Nam
 
 
 def _pairwise_trivial(spaces: Sequence[Subspace]) -> bool:
+    # A and B meet only in 0 iff dim(A + B) = dim A + dim B.
     return all(
-        subspace_intersect(a, b).is_zero() for a, b in combinations(spaces, 2)
+        subspace_sum([a, b]).dim == a.dim + b.dim for a, b in combinations(spaces, 2)
     )
 
 

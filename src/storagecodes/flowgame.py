@@ -275,9 +275,6 @@ def canonical_key(g: FlowGraph) -> str:
 # ---------------------------------------------------------------------------
 # the game
 
-KILLER = "KILLER"
-BUILDER = "BUILDER"
-
 Move = Tuple[str, Tuple[int, ...]]  # ("kill", (node,)) or ("rebuild", helpers)
 
 
@@ -286,11 +283,9 @@ class GameState:
     """One position of the KILLER/BUILDER game."""
 
     graph: FlowGraph
-    to_move: str
     r: int
     alpha: int
     beta: int
-    history_min_cut: int
 
 
 @dataclass
@@ -311,8 +306,7 @@ class GameValue:
 def make_game(n: int, r: int, alpha: int, beta: int) -> GameState:
     if not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
-    g = initial_graph(n, alpha)
-    return GameState(g, KILLER, r, alpha, beta, collector_value(g))
+    return GameState(initial_graph(n, alpha), r, alpha, beta)
 
 
 _INF = float("inf")
@@ -479,8 +473,6 @@ def minimax(
     """
     if horizon < 1:
         raise ValueError("need horizon >= 1")
-    if state.to_move != KILLER:
-        raise ValueError("search starts on KILLER's move")
     memo_cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     start_cut = collector_value(state.graph)
     result: Optional[GameValue] = None
@@ -503,8 +495,7 @@ def minimax(
             return min(v, int(got)), got_line
         return v, ()
 
-    depths = list(range(1, horizon + 1))
-    for depth in depths:
+    for depth in range(1, horizon + 1):
         try:
             if target is not None:
                 probe, _ = searcher.search(state.graph, depth, target, target + 1)

@@ -10,6 +10,7 @@ are the same subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -22,6 +23,17 @@ class EnumerationCapError(RuntimeError):
     """Raised when a subspace enumeration would exceed the configured cap."""
 
 
+def _check_word(length: int, word: int) -> None:
+    if not 0 < length <= MAX_AMBIENT_DIM:
+        raise ValueError(f"vector length must be in 1..{MAX_AMBIENT_DIM}")
+    if not 0 <= word < (1 << length):
+        raise ValueError("word has bits outside the vector length")
+
+
+def _word_text(word: int, length: int) -> str:
+    return "".join("1" if (word >> i) & 1 else "0" for i in range(length))
+
+
 @dataclass(frozen=True)
 class BitVector:
     """A fixed-length vector over GF(2), packed into one int."""
@@ -30,10 +42,7 @@ class BitVector:
     word: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.length <= MAX_AMBIENT_DIM:
-            raise ValueError(f"vector length must be in 1..{MAX_AMBIENT_DIM}")
-        if not 0 <= self.word < (1 << self.length):
-            raise ValueError("word has bits outside the vector length")
+        _check_word(self.length, self.word)
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
@@ -54,7 +63,7 @@ class BitVector:
         return cls(length, 0)
 
     def to_string(self) -> str:
-        return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.length))
+        return _word_text(self.word, self.length)
 
     def bit(self, i: int) -> int:
         return (self.word >> i) & 1
@@ -76,36 +85,46 @@ class BitVector:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """A matrix over GF(2), stored as a tuple of equal-length rows."""
+    """A matrix over GF(2), stored as a tuple of int rows of one width.
 
-    rows: Tuple[BitVector, ...]
+    Bit i of a row is column i.  The public constructors check their
+    input; code inside this module builds matrices from rows it knows
+    to be in range.
+    """
+
+    _words: Tuple[int, ...]
     col_count: int
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if row.length != self.col_count:
-                raise ValueError("all rows must share one length")
 
     @classmethod
     def from_strings(cls, texts: Sequence[str]) -> "BitMatrix":
-        rows = tuple(BitVector.from_string(t) for t in texts)
+        rows = [BitVector.from_string(t) for t in texts]
         if not rows:
             raise ValueError("cannot infer column count from an empty matrix")
-        return cls(rows, rows[0].length)
+        if any(row.length != rows[0].length for row in rows):
+            raise ValueError("all rows must share one length")
+        return cls(tuple(row.word for row in rows), rows[0].length)
 
     @classmethod
     def from_words(cls, col_count: int, words: Iterable[int]) -> "BitMatrix":
-        return cls(tuple(BitVector(col_count, w) for w in words), col_count)
+        words = tuple(words)
+        for w in words:
+            _check_word(col_count, w)
+        return cls(words, col_count)
+
+    @cached_property
+    def rows(self) -> Tuple[BitVector, ...]:
+        """The rows as BitVectors, built on first use."""
+        return tuple(BitVector(self.col_count, w) for w in self._words)
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self._words)
 
     def words(self) -> List[int]:
-        return [r.word for r in self.rows]
+        return list(self._words)
 
     def to_strings(self) -> List[str]:
-        return [r.to_string() for r in self.rows]
+        return [_word_text(w, self.col_count) for w in self._words]
 
     def transpose(self) -> "BitMatrix":
         if self.row_count == 0:
@@ -113,8 +132,8 @@ class BitMatrix:
         words = []
         for c in range(self.col_count):
             w = 0
-            for i, row in enumerate(self.rows):
-                if (row.word >> c) & 1:
+            for i, row in enumerate(self._words):
+                if (row >> c) & 1:
                     w |= 1 << i
             words.append(w)
         return BitMatrix.from_words(self.row_count, words)
@@ -126,50 +145,54 @@ class BitMatrix:
         if self.row_count == 0:
             raise ValueError("matrix has no rows")
         w = 0
-        for i, row in enumerate(self.rows):
-            if (row.word & x.word).bit_count() & 1:
+        for i, row in enumerate(self._words):
+            if (row & x.word).bit_count() & 1:
                 w |= 1 << i
         return BitVector(self.row_count, w)
 
     def stack(self, other: "BitMatrix") -> "BitMatrix":
         if self.col_count != other.col_count:
             raise ValueError("column count mismatch")
-        return BitMatrix(self.rows + other.rows, self.col_count)
+        return BitMatrix(self._words + other._words, self.col_count)
 
 
-def _pivot(word: int) -> int:
-    """Index of the first (lowest-coordinate) set bit."""
-    return (word & -word).bit_length() - 1
+def _reduce(basis: Sequence[int], word: int) -> int:
+    """Clear the basis rows' pivots from word; 0 iff word is in their span.
+
+    Each row's pivot (its lowest set bit) must be zero in every other row.
+    """
+    for row in basis:
+        if word & row & -row:
+            word ^= row
+    return word
 
 
-def _rref_words(words: Sequence[int], ncols: int) -> List[int]:
-    """Reduced row echelon form on int rows; zero rows dropped."""
-    rows = list(words)
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rows[:rank]
+def _rref_words(words: Iterable[int]) -> List[int]:
+    """Reduced row echelon form on int rows; zero rows dropped.
+
+    A row's pivot is its lowest set bit.  Each incoming row is reduced
+    by the rows kept so far; if anything is left, its pivot is cleared
+    from the kept rows and it is kept too.  Rows come out in pivot order.
+    """
+    rows: List[int] = []
+    for w in words:
+        w = _reduce(rows, w)
+        if w:
+            low = w & -w
+            rows = [r ^ w if r & low else r for r in rows]
+            rows.append(w)
+    rows.sort(key=lambda r: r & -r)
+    return rows
 
 
 def rref(mat: BitMatrix) -> Tuple[BitMatrix, int]:
     """Reduced row-echelon form with zero rows removed, plus the rank."""
-    reduced = _rref_words(mat.words(), mat.col_count)
-    return BitMatrix.from_words(mat.col_count, reduced), len(reduced)
+    reduced = _rref_words(mat._words)
+    return BitMatrix(tuple(reduced), mat.col_count), len(reduced)
 
 
 def rank(mat: BitMatrix) -> int:
-    return len(_rref_words(mat.words(), mat.col_count))
+    return len(_rref_words(mat._words))
 
 
 def solve(mat: BitMatrix, rhs: BitVector) -> Optional[BitVector]:
@@ -182,29 +205,16 @@ def solve(mat: BitMatrix, rhs: BitVector) -> Optional[BitVector]:
     if rhs.length != max(mat.row_count, 1):
         raise ValueError("rhs length must equal the row count")
     m = mat.col_count
-    aug = 1 << m
-    rows = [row.word | (aug if rhs.bit(i) else 0) for i, row in enumerate(mat.rows)]
-    rank_ = 0
-    for col in range(m):
-        pivot = None
-        for i in range(rank_, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        for i in range(len(rows)):
-            if i != rank_ and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank_]
-        rank_ += 1
-    for row in rows[rank_:]:
-        if row:  # only the augmented bit can remain: inconsistent system
-            return None
+    # Eliminate on the augmented rows [A | b]; a pivot in column m is a
+    # row 0 = 1, so the system is inconsistent.
+    aug = [w | (((rhs.word >> i) & 1) << m) for i, w in enumerate(mat._words)]
+    reduced = _rref_words(aug)
+    if reduced and reduced[-1] == 1 << m:
+        return None
     x = 0
-    for row in rows[:rank_]:
+    for row in reduced:
         if row >> m:
-            x |= 1 << _pivot(row)
+            x |= row & -row
     return BitVector(m, x)
 
 
@@ -219,25 +229,37 @@ class Subspace:
         if self.basis.col_count != self.ambient_dim:
             raise ValueError("basis width must equal the ambient dimension")
         words = self.basis.words()
-        if words != _rref_words(words, self.ambient_dim):
+        if words != _rref_words(words):
             raise ValueError("basis is not in reduced row-echelon form")
 
     @classmethod
+    def _canonical(cls, ambient_dim: int, words: Sequence[int]) -> "Subspace":
+        """Wrap rows already in RREF, skipping the check in __post_init__."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        object.__setattr__(space, "basis", BitMatrix(tuple(words), ambient_dim))
+        return space
+
+    @classmethod
     def spanned_by(cls, ambient_dim: int, vectors: Iterable[BitVector]) -> "Subspace":
-        words = _rref_words([v.word for v in vectors], ambient_dim)
-        return cls(ambient_dim, BitMatrix.from_words(ambient_dim, words))
+        words = []
+        for v in vectors:
+            if v.length != ambient_dim:
+                raise ValueError("vector length must equal the ambient dimension")
+            words.append(v.word)
+        return cls._canonical(ambient_dim, _rref_words(words))
 
     @classmethod
     def from_matrix(cls, mat: BitMatrix) -> "Subspace":
-        return cls.spanned_by(mat.col_count, mat.rows)
+        return cls._canonical(mat.col_count, _rref_words(mat._words))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, BitMatrix.from_words(ambient_dim, []))
+        return cls._canonical(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.spanned_by(ambient_dim, [BitVector.unit(ambient_dim, i) for i in range(ambient_dim)])
+        return cls._canonical(ambient_dim, [1 << i for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -250,11 +272,14 @@ class Subspace:
         return span_contains(self, v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.rows)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        basis = self.basis._words
+        return all(_reduce(basis, w) == 0 for w in other.basis._words)
 
     def vectors(self) -> Iterator[BitVector]:
         """All 2^dim vectors of the subspace, the zero vector first."""
-        words = self.basis.words()
+        words = self.basis._words
         for mask in range(1 << self.dim):
             w = 0
             for i in range(self.dim):
@@ -262,20 +287,12 @@ class Subspace:
                     w ^= words[i]
             yield BitVector(self.ambient_dim, w)
 
-    def sort_key(self) -> Tuple[str, ...]:
-        """Deterministic ordering key: the canonical basis as strings."""
-        return tuple(self.basis.to_strings())
-
 
 def span_contains(s: Subspace, v: BitVector) -> bool:
     """True iff v is a GF(2)-linear combination of the basis rows."""
     if v.length != s.ambient_dim:
         raise ValueError("dimension mismatch")
-    w = v.word
-    for row in s.basis.words():
-        if (w >> _pivot(row)) & 1:
-            w ^= row
-    return w == 0
+    return _reduce(s.basis._words, v.word) == 0
 
 
 def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
@@ -287,8 +304,8 @@ def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
     for p in parts:
         if p.ambient_dim != m:
             raise ValueError("ambient dimension mismatch")
-        words.extend(p.basis.words())
-    return Subspace(m, BitMatrix.from_words(m, _rref_words(words, m)))
+        words.extend(p.basis._words)
+    return Subspace._canonical(m, _rref_words(words))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -298,13 +315,13 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     m = a.ambient_dim
     mask = (1 << m) - 1
     # Rows (x | x) for the first basis and (y | 0) for the second; after
-    # elimination on the low block, rows with a zero low block carry an
-    # intersection vector in the high block.
-    rows = [w | (w << m) for w in a.basis.words()]
-    rows += list(b.basis.words())
-    reduced = _rref_words(rows, 2 * m)
-    inter = [r >> m for r in reduced if (r & mask) == 0]
-    return Subspace(m, BitMatrix.from_words(m, _rref_words(inter, m)))
+    # elimination, rows with a zero low block carry an intersection
+    # vector in the high block.  Their pivots are high-block columns that
+    # no other row has, so the shifted rows are already in RREF.
+    rows = [w | (w << m) for w in a.basis._words]
+    rows += b.basis._words
+    reduced = _rref_words(rows)
+    return Subspace._canonical(m, [r >> m for r in reduced if (r & mask) == 0])
 
 
 def gaussian_binomial(m: int, d: int) -> int:
@@ -349,24 +366,27 @@ def enumerate_subspaces(ambient_dim: int, dim: int, cap: Optional[int] = None) -
             for bit, (i, c) in enumerate(cells):
                 if (assignment >> bit) & 1:
                     words[i] |= 1 << c
-            yield Subspace(ambient_dim, BitMatrix.from_words(ambient_dim, words))
+            yield Subspace._canonical(ambient_dim, words)
 
 
 def subspaces_of(space: Subspace, dim: int, cap: Optional[int] = None) -> Iterator[Subspace]:
     """Yield every dim-dimensional subspace of the given subspace.
 
     Enumerates in the coefficient space of the canonical basis and maps
-    back, so the order is deterministic.
+    back, so the order is deterministic.  The image of an RREF
+    coefficient basis is again in RREF: row j keeps the pivot of basis
+    row q_j, and its bit at every other pivot is a coefficient that RREF
+    makes zero.
     """
     if dim > space.dim:
         return
-    basis = space.basis.words()
+    basis = space.basis._words
     for coeff in enumerate_subspaces(space.dim, dim, cap):
         words = []
-        for row in coeff.basis.words():
+        for row in coeff.basis._words:
             w = 0
             for i in range(space.dim):
                 if (row >> i) & 1:
                     w ^= basis[i]
             words.append(w)
-        yield Subspace(space.ambient_dim, BitMatrix.from_words(space.ambient_dim, _rref_words(words, space.ambient_dim)))
+        yield Subspace._canonical(space.ambient_dim, words)

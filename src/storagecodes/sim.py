@@ -76,7 +76,7 @@ class SystemState:
         return len(self.bases)
 
     def subspaces(self) -> List[Subspace]:
-        return [Subspace.spanned_by(self.message_dim, b.rows) for b in self.bases]
+        return [Subspace.from_matrix(b) for b in self.bases]
 
     def record(self, kind: str, *payload: Tuple[str, str]) -> None:
         self.trace.append(TraceEvent(self.epoch, kind, tuple(payload)))
@@ -203,17 +203,17 @@ def exact_repair(state: SystemState, plan: RepairPlan) -> None:
         raise SimulationError("invalid repair plan: " + "; ".join(problems))
 
     # Each helper projects its stored block onto its repair-space basis.
-    transfer_rows: List[BitVector] = []
+    transfer_words: List[int] = []
     transfer_symbols: List[int] = []
     for h in plan.helpers:
         basis_h = state.bases[h]
         for w in plan.repair_spaces[h].basis.rows:
             coeff = _coefficients(basis_h, w)
-            transfer_rows.append(w)
+            transfer_words.append(w.word)
             transfer_symbols.append(coeff.dot(state.stored[h]))
 
     # The newcomer re-expresses its own basis rows in the repair vectors.
-    wmat = BitMatrix(tuple(transfer_rows), state.message_dim)
+    wmat = BitMatrix.from_words(state.message_dim, transfer_words)
     target_basis = state.code.node_bases[plan.failed]
     sym_vec = BitVector(
         len(transfer_symbols),
@@ -261,7 +261,7 @@ def functional_repair(state: SystemState, failed: int) -> None:
     survivors = sorted(state.live)
     if len(survivors) != spec.node_count - 1:
         raise SimulationError("exactly one node may be failed at a time")
-    spaces = {i: Subspace.spanned_by(state.message_dim, state.bases[i].rows) for i in survivors}
+    spaces = {i: Subspace.from_matrix(state.bases[i]) for i in survivors}
     if spec.violations([spaces[i] for i in survivors]):
         raise SimulationError("survivors no longer satisfy the specification")
 
@@ -276,8 +276,7 @@ def functional_repair(state: SystemState, failed: int) -> None:
     def choose() -> Optional[Tuple[Dict[int, BitVector], Subspace]]:
         def rec(depth: int, picked: Dict[int, BitVector]):
             if depth == len(survivors):
-                amat = BitMatrix(tuple(picked[i] for i in survivors), state.message_dim)
-                span = Subspace.spanned_by(state.message_dim, amat.rows)
+                span = Subspace.spanned_by(state.message_dim, picked.values())
                 for cand in subspaces_of(span, spec.node_dim):
                     trial = [spaces[i] for i in survivors] + [cand]
                     if spec.satisfied(trial):
@@ -301,12 +300,10 @@ def functional_repair(state: SystemState, failed: int) -> None:
 
     # Downloads: one symbol a_i . x per survivor, computed node-locally.
     downloads: List[int] = []
-    amat_rows: List[BitVector] = []
     for i in survivors:
         coeff = _coefficients(state.bases[i], picked[i])
         downloads.append(coeff.dot(state.stored[i]))
-        amat_rows.append(picked[i])
-    amat = BitMatrix(tuple(amat_rows), state.message_dim)
+    amat = BitMatrix.from_words(state.message_dim, [picked[i].word for i in survivors])
     dl_vec = BitVector(len(downloads), sum(b << i for i, b in enumerate(downloads)))
 
     new_basis = new_space.basis

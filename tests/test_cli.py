@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line frontend and its exit codes."""
 
 import json
+import random
 
 import pytest
 
@@ -127,6 +128,93 @@ def test_non_object_repair_plans_is_parse_error(tmp_path, capsys, command, break
     code, out, err = run(capsys, command, str(path))
     assert code == EXIT_PARSE
     assert err.startswith("parse error") and err.count("\n") == 1
+
+
+def _break_stored_plan(doc):
+    doc["repair_plans"]["0"]["spaces"]["3"] = ["0010"]  # not inside node 3
+    return "plan for node 0: repair space of helper 3 is not inside its storage space"
+
+
+def _too_many_helpers(doc):
+    # a valid plan for node 0 of the copy-variant repetition code, but with
+    # three helpers against the declared r = 2
+    plan = doc["repair_plans"]["0"]
+    plan["helpers"] = [1, 2, 3]
+    plan["spaces"] = {str(h): doc["nodes"][h] for h in (1, 2, 3)}
+    return "plan for node 0 uses more than r=2 helpers"
+
+
+@pytest.mark.parametrize(
+    "construct_args, breakage",
+    [
+        (("example1",), _break_stored_plan),
+        (("repetition", "--n", "6", "--r", "2", "--alpha", "2", "--variant", "copy"), _too_many_helpers),
+    ],
+)
+def test_validate_checks_stored_plans(tmp_path, capsys, construct_args, breakage):
+    path = write_code(tmp_path, capsys, *construct_args)
+    doc = json.loads(path.read_text())
+    problem = breakage(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == f"violation: {problem}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("spec", [["example3"], {"name": "example3"}])
+def test_non_string_functional_spec_is_parse_error(tmp_path, capsys, command, spec):
+    path = write_code(tmp_path, capsys, "example3")
+    doc = json.loads(path.read_text())
+    doc["spec"] = spec
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error") and err.count("\n") == 1
+
+
+FUZZ_VALUES = [None, 0, 1, 7, -1, 2**70, "", "1", "0110", "x", [], ["1"], [0], {}, {"1": "0"}]
+
+
+def _paths(node, path=()):
+    """Every (container path, key) under a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _mutate(doc, rng):
+    path, key = rng.choice(list(_paths(doc)))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[key]
+    else:
+        parent[key] = rng.choice(FUZZ_VALUES)
+
+
+@pytest.mark.parametrize("name", ["example1", "parity", "repetition", "example3"])
+def test_mutated_code_files_end_with_a_documented_exit(tmp_path, capsys, name):
+    path = write_code(tmp_path, capsys, name)
+    original = path.read_text()
+    rng = random.Random(name)
+    for trial in range(150):
+        doc = json.loads(original)
+        _mutate(doc, rng)
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["--rounds", "5", "simulate"]):
+            code, out, err = run(capsys, *argv, str(path))
+            lines = err.splitlines()
+            context = (trial, argv[-1], json.dumps(doc), err)
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_SIMULATION, EXIT_CAP), context
+            if code == EXIT_VALIDATION:
+                # validate reports one violation per line
+                assert lines and all(line.startswith("violation: ") for line in lines), context
+            else:
+                assert len(lines) <= 1, context
 
 
 def test_validate_cap_exceeded(tmp_path, capsys, monkeypatch):

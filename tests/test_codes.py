@@ -13,7 +13,6 @@ from storagecodes.codes import (
     StorageCode,
     find_repair_plan,
     is_recovery_set,
-    permute_coordinates,
     permute_plan,
     rate_and_overhead,
     recovery_dimension,
@@ -21,7 +20,7 @@ from storagecodes.codes import (
     validate,
     validate_plan,
 )
-from storagecodes.gf2 import BitVector, Subspace, subspace_sum
+from storagecodes.gf2 import BitMatrix, BitVector, Subspace, subspace_sum
 
 
 def four_rotations():
@@ -261,6 +260,24 @@ def test_repair_locality_none_when_unrepairable():
 
 # ---------------------------------------------------------------------------
 # symmetry helpers
+
+
+def permute_coordinates(code: StorageCode, perm) -> StorageCode:
+    """Apply the coordinate permutation e_i -> e_perm[i] to every basis."""
+    m = code.message_dim
+    if sorted(perm) != list(range(m)):
+        raise CodeError("perm must be a permutation of 0..m-1")
+    new_bases = []
+    for mat in code.node_bases:
+        words = []
+        for row in mat.rows:
+            w = 0
+            for i in range(m):
+                if row.bit(i):
+                    w |= 1 << perm[i]
+            words.append(w)
+        new_bases.append(BitMatrix.from_words(m, words))
+    return StorageCode(m, code.alpha, tuple(new_bases))
 
 
 def test_permute_coordinates_rotation_is_automorphism():

@@ -15,6 +15,7 @@ from storagecodes.codes import (
     validate_plan,
 )
 from storagecodes.constructions import (
+    _pairwise_trivial,
     example1,
     example3_initial_bases,
     example3_spec,
@@ -25,7 +26,13 @@ from storagecodes.constructions import (
     repetition_variants,
     single_parity,
 )
-from storagecodes.gf2 import BitVector, Subspace, subspace_intersect, subspace_sum
+from storagecodes.gf2 import (
+    BitVector,
+    Subspace,
+    enumerate_subspaces,
+    subspace_intersect,
+    subspace_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +198,16 @@ def test_initial_bases_pairwise_trivial_and_triples_span():
         assert subspace_intersect(a, b).is_zero()
     for triple in combinations(spaces, 3):
         assert subspace_sum(list(triple)).dim == 5
+
+
+def test_pairwise_trivial_matches_intersection_oracle():
+    # the sum-dimension test against Zassenhaus and against enumeration
+    for m in range(1, 5):
+        spaces = [s for d in range(m + 1) for s in enumerate_subspaces(m, d)]
+        for a, b in combinations(spaces, 2):
+            meet = {v.word for v in a.vectors()} & {v.word for v in b.vectors()}
+            trivial = _pairwise_trivial([a, b])
+            assert trivial == subspace_intersect(a, b).is_zero() == (meet == {0})
 
 
 def test_functional_spec_flags_violations():

@@ -258,7 +258,7 @@ def test_minimax_deepening_monotonicity():
     state = make_game(4, 2, 2, 1)
     values = [minimax(make_game(4, 2, 2, 1), h).value for h in range(1, 7)]
     assert values == sorted(values, reverse=True)
-    assert state.history_min_cut == 8
+    assert collector_value(state.graph) == 8
 
 
 def test_minimax_principal_line_starts_with_kill():

@@ -8,6 +8,7 @@ on seeded random inputs, plus hand-checked fixed values.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storagecodes.gf2 import (
     BitMatrix,
@@ -75,6 +76,19 @@ def test_bitmatrix_round_trip_and_transpose():
     t = mat.transpose()
     assert t.col_count == 2
     assert t.to_strings() == ["10", "11", "01"]
+
+
+def test_bitmatrix_constructors_check_input():
+    for width, words in ((3, [8]), (3, [-1]), (0, [0]), (65, [1])):
+        with pytest.raises(ValueError):
+            BitMatrix.from_words(width, words)
+    for texts in ([], ["10", "1"], ["1" * 65], ["1a"]):
+        with pytest.raises(ValueError):
+            BitMatrix.from_strings(texts)
+    # equal iff same width and same rows
+    assert BitMatrix.from_words(3, [1, 6]) == BitMatrix.from_strings(["100", "011"])
+    assert BitMatrix.from_words(3, [1]) != BitMatrix.from_words(4, [1])
+    assert BitMatrix.from_words(3, [1, 6]) != BitMatrix.from_words(3, [6, 1])
 
 
 def test_mat_vec_is_rowwise_parity():
@@ -163,6 +177,13 @@ def test_subspace_canonical_equality():
 def test_subspace_rejects_non_canonical_basis():
     with pytest.raises(ValueError):
         Subspace(3, BitMatrix.from_strings(["110", "100"]))
+
+
+def test_spanned_by_rejects_vectors_of_another_length():
+    with pytest.raises(ValueError):
+        Subspace.spanned_by(3, [BitVector(5, 0b10000)])  # longer
+    with pytest.raises(ValueError):
+        Subspace.spanned_by(5, [BitVector(2, 3)])  # shorter
 
 
 def test_span_contains_matches_enumeration():
@@ -254,3 +275,89 @@ def test_subspaces_of_enumerates_inside_space():
     assert len(planes) == gaussian_binomial(3, 2)
     assert len({tuple(p.basis.words()) for p in planes}) == len(planes)
     assert list(subspaces_of(s, 4)) == []
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles for the elimination kernel, m <= 6
+
+ORACLE = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def word_lists(draw, count: int = 1):
+    """An ambient dimension m <= 6 and `count` lists of m-bit words."""
+    m = draw(st.integers(1, 6))
+    word = st.integers(0, (1 << m) - 1)
+    return (m, *(draw(st.lists(word, max_size=7)) for _ in range(count)))
+
+
+def span_of(words) -> set:
+    span = {0}
+    for w in words:
+        span |= {x ^ w for x in span}
+    return span
+
+
+def assert_canonical(s: Subspace) -> None:
+    # the public constructor re-runs the RREF check that gf2's own
+    # producers skip
+    assert Subspace(s.ambient_dim, s.basis) == s
+
+
+@ORACLE
+@given(word_lists(count=2))
+def test_producers_return_canonical_subspaces(case):
+    m, xs, ys = case
+    a = Subspace.spanned_by(m, [BitVector(m, w) for w in xs])
+    b = Subspace.spanned_by(m, [BitVector(m, w) for w in ys])
+    expect = [
+        (a, span_of(xs)),
+        (b, span_of(ys)),
+        (subspace_sum([a, b]), span_of(xs + ys)),
+        (subspace_intersect(a, b), span_of(xs) & span_of(ys)),
+    ]
+    for s, vectors in expect:
+        assert_canonical(s)
+        assert all_vectors(s) == vectors
+    for d in range(a.dim + 1):
+        subs = list(subspaces_of(a, d))
+        assert len(subs) == gaussian_binomial(a.dim, d)
+        for s in subs:
+            assert_canonical(s)
+            assert s.dim == d and all_vectors(s) <= all_vectors(a)
+
+
+def test_enumerated_subspaces_are_canonical():
+    for m in range(1, 7):
+        assert_canonical(Subspace.zero(m))
+        assert_canonical(Subspace.full(m))
+        for d in range(m + 1):
+            for s in enumerate_subspaces(m, d):
+                assert_canonical(s)
+
+
+@ORACLE
+@given(word_lists(), st.integers(0, 127))
+def test_solve_matches_exhaustive_search(case, rhs_seed):
+    m, rows = case
+    rows = rows or [0]
+    mat = BitMatrix.from_words(m, rows)
+    rhs = BitVector(len(rows), rhs_seed % (1 << len(rows)))
+    solutions = [x for x in range(1 << m) if mat.mat_vec(BitVector(m, x)) == rhs]
+    got = solve(mat, rhs)
+    if not solutions:
+        assert got is None
+        return
+    assert got is not None and got.word in solutions
+    reduced, _ = rref(mat)
+    pivots = 0
+    for w in reduced.words():
+        pivots |= w & -w
+    assert got.word & ~pivots == 0  # free variables are zero
+
+
+@ORACLE
+@given(word_lists())
+def test_rank_is_dimension_of_row_span(case):
+    m, rows = case
+    assert 1 << rank(BitMatrix.from_words(m, rows)) == len(span_of(rows))
