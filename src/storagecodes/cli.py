@@ -8,6 +8,7 @@ caps (subspace enumeration and the game memo table).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import random
 import sys
@@ -15,7 +16,7 @@ from typing import List, Optional
 
 from . import bounds, codefile, flowgame
 from .codes import CodeError, rate_and_overhead, recovery_dimension, repair_locality, validate_plan
-from .constructions import example1, repetition_code, rbt_mbr, single_parity
+from .constructions import named_codes
 from .gf2 import BitVector, EnumerationCapError
 from .sim import (
     SimulationError,
@@ -99,22 +100,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    """Build a registry code, or example3, the one functional entry.
+
+    Each constructor's parameters (n, r, alpha, variant) are taken from
+    the options of the same name.
+    """
+    build = named_codes().get(args.name)
     try:
-        if args.name == "example1":
-            cf = codefile.from_named_code(example1())
-        elif args.name == "rbt-mbr":
-            cf = codefile.from_named_code(rbt_mbr(args.n))
-        elif args.name == "repetition":
-            cf = codefile.from_named_code(
-                repetition_code(args.n, args.r, args.alpha, args.variant)
-            )
-        elif args.name == "parity":
-            cf = codefile.from_named_code(single_parity(args.r))
-        elif args.name == "example3":
-            cf = codefile.functional_file("example3")
-        else:
+        if args.name == "example3":
+            cf = codefile.functional_file(args.name)
+        elif build is None:
             print(f"unknown construction {args.name!r}", file=sys.stderr)
             return EXIT_PARSE
+        else:
+            params = inspect.signature(build).parameters
+            cf = codefile.from_named_code(build(**{p: getattr(args, p) for p in params}))
     except (CodeError, TypeError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("construct", help="write a named code to a file", parents=after)
-    p.add_argument("name", choices=["example1", "rbt-mbr", "repetition", "parity", "example3"])
+    p.add_argument("name", choices=[*named_codes(), "example3"])
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--alpha", type=int, default=None)

@@ -38,13 +38,17 @@ class NamedCode:
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """A decidable predicate bundle over node-subspace assignments."""
+    """A decidable predicate bundle over node-subspace assignments.
+
+    Each rule (name, t, pred) requires every t-subset of the storage
+    spaces to satisfy pred, which takes a t-tuple of subspaces.
+    """
 
     ambient_dim: int
     node_count: int
     node_dim: int
     beta: int
-    rules: Tuple[Tuple[str, Callable[[Sequence[Subspace]], bool]], ...]
+    rules: Tuple[Tuple[str, int, Callable[[Tuple[Subspace, ...]], bool]], ...]
 
     def violations(self, spaces: Sequence[Subspace]) -> List[str]:
         """Rule names violated by the given collection of subspaces."""
@@ -54,13 +58,28 @@ class FunctionalSpec:
                 return [f"ambient dimension {space.ambient_dim} != {self.ambient_dim}"]
             if space.dim != self.node_dim:
                 out.append(f"a storage space has dim {space.dim}, expected {self.node_dim}")
-        for name, rule in self.rules:
-            if not rule(spaces):
+        for name, t, pred in self.rules:
+            if not all(pred(subset) for subset in combinations(spaces, t)):
                 out.append(name)
         return out
 
     def satisfied(self, spaces: Sequence[Subspace]) -> bool:
         return not self.violations(spaces)
+
+    def admits(self, others: Sequence[Subspace], new: Subspace) -> bool:
+        """Whether others plus new satisfy the spec, given that others do.
+
+        Precondition: others already satisfy the spec.  Then only the
+        subsets that contain new can fail, so only those are checked,
+        and the check stops at the first failure.
+        """
+        if new.ambient_dim != self.ambient_dim or new.dim != self.node_dim:
+            return False
+        return all(
+            pred(subset + (new,))
+            for _, t, pred in self.rules
+            for subset in combinations(others, t - 1)
+        )
 
 
 def _verify(named: NamedCode, check_locality: bool = True) -> NamedCode:
@@ -233,20 +252,14 @@ def repetition_variants(n: int, r: int, alpha: Optional[int] = None) -> List[Nam
     return out
 
 
-def _pairwise_trivial(spaces: Sequence[Subspace]) -> bool:
+def _trivial_meet(pair: Tuple[Subspace, ...]) -> bool:
     # A and B meet only in 0 iff dim(A + B) = dim A + dim B.
-    return all(
-        subspace_sum([a, b]).dim == a.dim + b.dim for a, b in combinations(spaces, 2)
-    )
+    a, b = pair
+    return subspace_sum(pair).dim == a.dim + b.dim
 
 
-def _triples_span(spaces: Sequence[Subspace]) -> bool:
-    if len(spaces) < 3:
-        return True
-    m = spaces[0].ambient_dim
-    return all(
-        subspace_sum(list(triple)).dim == m for triple in combinations(spaces, 3)
-    )
+def _spans(subset: Tuple[Subspace, ...]) -> bool:
+    return subspace_sum(subset).dim == subset[0].ambient_dim
 
 
 def example3_spec() -> FunctionalSpec:
@@ -261,8 +274,8 @@ def example3_spec() -> FunctionalSpec:
         node_dim=2,
         beta=1,
         rules=(
-            ("any two storage spaces intersect trivially", _pairwise_trivial),
-            ("any three storage spaces span the message space", _triples_span),
+            ("any two storage spaces intersect trivially", 2, _trivial_meet),
+            ("any three storage spaces span the message space", 3, _spans),
         ),
     )
 

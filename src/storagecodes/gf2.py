@@ -46,6 +46,8 @@ class BitVector:
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
+        if not isinstance(text, str):
+            raise TypeError(f"a vector must be a 0/1 string, not {type(text).__name__}")
         if not text or any(c not in "01" for c in text):
             raise ValueError(f"not a 0/1 string: {text!r}")
         word = 0
@@ -204,10 +206,18 @@ def solve(mat: BitMatrix, rhs: BitVector) -> Optional[BitVector]:
     """
     if rhs.length != max(mat.row_count, 1):
         raise ValueError("rhs length must equal the row count")
-    m = mat.col_count
+    x = _solve_words(mat._words, mat.col_count, rhs.word)
+    return None if x is None else BitVector(mat.col_count, x)
+
+
+def _solve_words(words: Sequence[int], m: int, rhs: int) -> Optional[int]:
+    """solve on int rows of width m; bit i of rhs belongs to row i.
+
+    The right-hand side may be longer than a BitVector allows.
+    """
     # Eliminate on the augmented rows [A | b]; a pivot in column m is a
     # row 0 = 1, so the system is inconsistent.
-    aug = [w | (((rhs.word >> i) & 1) << m) for i, w in enumerate(mat._words)]
+    aug = [w | (((rhs >> i) & 1) << m) for i, w in enumerate(words)]
     reduced = _rref_words(aug)
     if reduced and reduced[-1] == 1 << m:
         return None
@@ -215,7 +225,7 @@ def solve(mat: BitMatrix, rhs: BitVector) -> Optional[BitVector]:
     for row in reduced:
         if row >> m:
             x |= row & -row
-    return BitVector(m, x)
+    return x
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .codes import (
     validate_plan,
 )
 from .constructions import FunctionalSpec
-from .gf2 import BitMatrix, BitVector, Subspace, rank, solve, subspaces_of
+from .gf2 import BitMatrix, BitVector, Subspace, _solve_words, rank, solve, subspaces_of
 
 
 class SimulationError(RuntimeError):
@@ -165,14 +165,16 @@ def collect(state: SystemState, indices: Sequence[int]) -> Optional[BitVector]:
     ok = rank(stacked) == state.message_dim
     result: Optional[BitVector] = None
     if ok:
+        # The stacked right-hand side may exceed one BitVector's 64 bits.
         rhs_word = 0
         pos = 0
         for i in idx:
             rhs_word |= state.stored[i].word << pos
             pos += state.bases[i].row_count
-        result = solve(stacked, BitVector(pos, rhs_word))
-        if result is None:
+        x = _solve_words(stacked.words(), state.message_dim, rhs_word)
+        if x is None:
             raise SimulationError("recovery-set decode was inconsistent")
+        result = BitVector(state.message_dim, x)
     state.record(
         "collect",
         ("nodes", ",".join(map(str, idx))),
@@ -262,7 +264,9 @@ def functional_repair(state: SystemState, failed: int) -> None:
     if len(survivors) != spec.node_count - 1:
         raise SimulationError("exactly one node may be failed at a time")
     spaces = {i: Subspace.from_matrix(state.bases[i]) for i in survivors}
-    if spec.violations([spaces[i] for i in survivors]):
+    survivor_spaces = [spaces[i] for i in survivors]
+    # This check is the precondition of spec.admits below.
+    if spec.violations(survivor_spaces):
         raise SimulationError("survivors no longer satisfy the specification")
 
     survivor_vectors = {
@@ -273,13 +277,21 @@ def functional_repair(state: SystemState, failed: int) -> None:
         for i in survivors
     }
 
+    # The survivors are fixed, so a verdict depends on the candidate alone;
+    # different picks often span the same candidates.
+    verdicts: Dict[Subspace, bool] = {}
+
+    def admits(cand: Subspace) -> bool:
+        if cand not in verdicts:
+            verdicts[cand] = spec.admits(survivor_spaces, cand)
+        return verdicts[cand]
+
     def choose() -> Optional[Tuple[Dict[int, BitVector], Subspace]]:
         def rec(depth: int, picked: Dict[int, BitVector]):
             if depth == len(survivors):
                 span = Subspace.spanned_by(state.message_dim, picked.values())
                 for cand in subspaces_of(span, spec.node_dim):
-                    trial = [spaces[i] for i in survivors] + [cand]
-                    if spec.satisfied(trial):
+                    if admits(cand):
                         return dict(picked), cand
                 return None
             i = survivors[depth]

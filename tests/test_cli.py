@@ -173,6 +173,35 @@ def test_non_string_functional_spec_is_parse_error(tmp_path, capsys, command, sp
     assert err.startswith("parse error") and err.count("\n") == 1
 
 
+def _list_node_row(doc):
+    doc["nodes"][0] = [list(row) for row in doc["nodes"][0]]
+
+
+def _list_plan_row(doc):
+    spaces = doc["repair_plans"]["0"]["spaces"]
+    spaces["1"] = [list(row) for row in spaces["1"]]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "name, breakage",
+    [
+        ("example1", _list_node_row),
+        ("example1", _list_plan_row),
+        ("example3", _list_node_row),
+    ],
+)
+def test_basis_row_written_as_list_is_parse_error(tmp_path, capsys, command, name, breakage):
+    # a row ["1","0","0","1"] must not be read as "1001"
+    path = write_code(tmp_path, capsys, name)
+    doc = json.loads(path.read_text())
+    breakage(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error") and err.count("\n") == 1
+
+
 FUZZ_VALUES = [None, 0, 1, 7, -1, 2**70, "", "1", "0110", "x", [], ["1"], [0], {}, {"1": "0"}]
 
 
@@ -243,6 +272,14 @@ def test_simulate_functional(tmp_path, capsys):
     code, out, err = run(capsys, "--seed", "3", "--rounds", "10", "simulate", str(path))
     assert code == EXIT_OK
     assert "repairs: 10" in out
+
+
+def test_simulate_decodes_from_more_than_64_stored_symbols(tmp_path, capsys):
+    # rbt-mbr n=11 decodes from k = 10 nodes of 10 symbols each
+    path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "11")
+    code, out, err = run(capsys, "--rounds", "1", "simulate", str(path))
+    assert code == EXIT_OK and err == ""
+    assert "decode_checks_passed: 1" in out
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):

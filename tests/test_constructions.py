@@ -1,5 +1,6 @@
 """Tests for the named code families and the functional specification."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from storagecodes.codes import (
     validate_plan,
 )
 from storagecodes.constructions import (
-    _pairwise_trivial,
+    _trivial_meet,
     example1,
     example3_initial_bases,
     example3_spec,
@@ -33,6 +34,7 @@ from storagecodes.gf2 import (
     subspace_intersect,
     subspace_sum,
 )
+from storagecodes.sim import encode_functional, fail, functional_repair
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,7 @@ def test_pairwise_trivial_matches_intersection_oracle():
         spaces = [s for d in range(m + 1) for s in enumerate_subspaces(m, d)]
         for a, b in combinations(spaces, 2):
             meet = {v.word for v in a.vectors()} & {v.word for v in b.vectors()}
-            trivial = _pairwise_trivial([a, b])
+            trivial = _trivial_meet((a, b))
             assert trivial == subspace_intersect(a, b).is_zero() == (meet == {0})
 
 
@@ -221,6 +223,55 @@ def test_functional_spec_flags_violations():
     ]
     problems = spec.violations(overlapping)
     assert any("intersect" in p for p in problems)
+
+
+def test_spec_rules_ignore_lists_shorter_than_their_subsets():
+    spec = example3_spec()
+    spaces = [Subspace.spanned_by(5, b.rows) for b in example3_initial_bases()]
+    assert spec.violations([]) == []
+    assert spec.violations(spaces[:1]) == []
+    assert spec.violations(spaces[:2]) == []  # no triple to span
+    overlapping = [
+        Subspace.spanned_by(5, [BitVector.from_string("10000"), BitVector.from_string(t)])
+        for t in ("01000", "00100")
+    ]
+    assert spec.violations(overlapping) == ["any two storage spaces intersect trivially"]
+
+
+def _reached_survivor_triples(repairs, seed):
+    """Every survivor triple met during seeded repairs, each once."""
+    spec = example3_spec()
+    state = encode_functional(spec, example3_initial_bases(), BitVector(5, 0b10110))
+    rng = random.Random(seed)
+    triples = {}
+    for _ in range(repairs):
+        victim = rng.randrange(4)
+        others = tuple(s for i, s in enumerate(state.subspaces()) if i != victim)
+        triples.setdefault(others, None)
+        fail(state, victim)
+        functional_repair(state, victim)
+    return list(triples)
+
+
+def test_admits_matches_full_spec_check():
+    # admits checks only the subsets that contain the newcomer; the full
+    # check over all four spaces is the oracle
+    spec = example3_spec()
+    candidates = list(enumerate_subspaces(5, 2))
+    assert len(candidates) == 155
+    candidates += [
+        Subspace.spanned_by(5, [BitVector.from_string("10000")]),
+        Subspace.spanned_by(5, [BitVector.from_string(t) for t in ("10000", "01000", "00100")]),
+        Subspace.spanned_by(4, [BitVector.from_string(t) for t in ("1000", "0100")]),
+    ]
+    verdicts = set()
+    for others in _reached_survivor_triples(200, 7):
+        assert spec.satisfied(list(others))
+        for cand in candidates:
+            verdict = spec.admits(others, cand)
+            assert verdict == spec.satisfied(list(others) + [cand])
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_functional_spec_flags_wrong_dimension():

@@ -91,6 +91,15 @@ def test_bitmatrix_constructors_check_input():
     assert BitMatrix.from_words(3, [1, 6]) != BitMatrix.from_words(3, [6, 1])
 
 
+def test_from_string_rejects_non_strings():
+    # a list of characters, or of one string, is not a row
+    for value in (["1", "0", "1"], ["01"], 5, None):
+        with pytest.raises(TypeError):
+            BitVector.from_string(value)
+    with pytest.raises(TypeError):
+        BitMatrix.from_strings([["1", "0"], ["0", "1"]])
+
+
 def test_mat_vec_is_rowwise_parity():
     mat = BitMatrix.from_strings(["110", "011"])
     x = BitVector.from_string("101")

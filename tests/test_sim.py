@@ -69,6 +69,14 @@ def test_collect_returns_none_on_non_recovery_set():
     assert event.kind == "collect" and ("ok", "0") in event.payload
 
 
+def test_collect_decodes_from_more_than_64_stored_symbols():
+    # rbt-mbr n=11: 10 nodes of 10 symbols stack into a 100-bit right-hand side
+    named = rbt_mbr(11)
+    x = BitVector(55, random.Random(11).randrange(1 << 55))
+    state = encode(named.code, x, named.repair_plans, 1)
+    assert collect(state, range(1, 11)) == x
+
+
 def test_collect_requires_live_nodes():
     state, named, x = fresh_exact()
     fail(state, 1)
