@@ -19,6 +19,8 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
+    _reduce,
+    _rref_words,
     rank,
     subspace_sum,
     subspaces_of,
@@ -169,6 +171,16 @@ def validate_plan(code: StorageCode, plan: RepairPlan) -> List[str]:
     return violations
 
 
+def _gain(basis: Sequence[int], rows: Sequence[int]) -> List[int]:
+    """rows reduced by an RREF basis, in RREF; zero rows dropped.
+
+    The rows left are zero at every pivot of basis, so their span meets
+    it trivially and their count is dim(basis + rows) - dim(basis).
+    """
+    reduced = [_reduce(basis, w) for w in rows]
+    return _rref_words(reduced) if len(reduced) > 1 else [w for w in reduced if w]
+
+
 def find_repair_plan(
     code: StorageCode,
     failed: int,
@@ -179,10 +191,19 @@ def find_repair_plan(
     """Search for a valid repair plan over the given helper set.
 
     Depth-first over helpers in index order, enumerating beta-dimensional
-    subspaces of each helper's storage space in canonical order; a branch
-    is pruned when the chosen spaces plus all remaining helpers' full
-    spaces can no longer cover the failed node's space.  Returns the
-    first plan found (deterministic) or None.
+    subspaces of each helper's storage space in canonical order.  With k
+    helpers, P the sum of the spaces chosen so far and T the failed
+    node's space, a candidate W for the helper at depth d is skipped when
+
+    - the k - d - 1 helpers after it cannot add the dimensions still
+      missing: each adds at most beta, so a plan needs
+      dim(P+W+T) - dim(P+W) <= beta * (k - d - 1); or
+    - T is not inside P + W plus the full spaces of those helpers.
+
+    Both are necessary conditions for completing the branch, so only
+    subtrees without a plan are cut; the order of the search is
+    unchanged and the first plan found (deterministic) is the same as
+    without them.  Returns that plan or None.
     """
     helper_list = tuple(sorted(set(helpers)))
     if failed in helper_list:
@@ -191,7 +212,8 @@ def find_repair_plan(
         if not 0 <= i < code.n:
             raise IndexError(f"node index {i} out of range")
     target = code.subspaces[failed]
-    if len(helper_list) * beta < target.dim:
+    k = len(helper_list)
+    if k * beta < target.dim:
         return None
 
     suffix_spans: List[Subspace] = [Subspace.zero(code.message_dim)]
@@ -204,23 +226,31 @@ def find_repair_plan(
     def covered(partial: Subspace, depth: int) -> bool:
         return subspace_sum([partial, suffix_spans[depth]]).contains_subspace(target)
 
-    def dfs(depth: int, partial: Subspace) -> bool:
-        if depth == len(helper_list):
+    def dfs(depth: int, partial: Subspace, with_target: List[int]) -> bool:
+        # with_target: the RREF words of partial + target.
+        if depth == k:
             return partial.contains_subspace(target)
         helper = helper_list[depth]
+        base = partial.basis.words()
+        missing = len(with_target) - len(base)  # dim(P+T) - dim P
+        slack = beta * (k - depth - 1)
         for w in subspaces_of(code.subspaces[helper], beta, cap):
+            rows = w.basis.words()
+            gain_t = _gain(with_target, rows)
+            if missing + len(gain_t) - len(_gain(base, rows)) > slack:
+                continue
             extended = subspace_sum([partial, w])
             if not covered(extended, depth + 1):
                 continue
             chosen[helper] = w
-            if dfs(depth + 1, extended):
+            if dfs(depth + 1, extended, _rref_words(with_target + gain_t)):
                 return True
             del chosen[helper]
         return False
 
     if not covered(Subspace.zero(code.message_dim), 0):
         return None
-    if dfs(0, Subspace.zero(code.message_dim)):
+    if dfs(0, Subspace.zero(code.message_dim), target.basis.words()):
         return RepairPlan(failed, helper_list, dict(chosen), beta)
     return None
 

@@ -206,26 +206,29 @@ def solve(mat: BitMatrix, rhs: BitVector) -> Optional[BitVector]:
     """
     if rhs.length != max(mat.row_count, 1):
         raise ValueError("rhs length must equal the row count")
-    x = _solve_words(mat._words, mat.col_count, rhs.word)
+    _, x = _solve_words(mat._words, mat.col_count, rhs.word)
     return None if x is None else BitVector(mat.col_count, x)
 
 
-def _solve_words(words: Sequence[int], m: int, rhs: int) -> Optional[int]:
+def _solve_words(words: Sequence[int], m: int, rhs: int) -> Tuple[int, Optional[int]]:
     """solve on int rows of width m; bit i of rhs belongs to row i.
 
-    The right-hand side may be longer than a BitVector allows.
+    Returns the rank of the rows and a solution, or None in its place if
+    the system is inconsistent.  The right-hand side may be longer than
+    a BitVector allows.
     """
     # Eliminate on the augmented rows [A | b]; a pivot in column m is a
-    # row 0 = 1, so the system is inconsistent.
+    # row 0 = 1, so the system is inconsistent.  Every other row has its
+    # pivot below m and counts towards the rank of A.
     aug = [w | (((rhs >> i) & 1) << m) for i, w in enumerate(words)]
     reduced = _rref_words(aug)
     if reduced and reduced[-1] == 1 << m:
-        return None
+        return len(reduced) - 1, None
     x = 0
     for row in reduced:
         if row >> m:
             x |= row & -row
-    return x
+    return len(reduced), x
 
 
 @dataclass(frozen=True)

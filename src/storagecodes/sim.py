@@ -20,7 +20,7 @@ from .codes import (
     validate_plan,
 )
 from .constructions import FunctionalSpec
-from .gf2 import BitMatrix, BitVector, Subspace, _solve_words, rank, solve, subspaces_of
+from .gf2 import BitMatrix, BitVector, Subspace, _solve_words, solve, subspaces_of
 
 
 class SimulationError(RuntimeError):
@@ -162,16 +162,16 @@ def collect(state: SystemState, indices: Sequence[int]) -> Optional[BitVector]:
     stacked = state.bases[idx[0]]
     for i in idx[1:]:
         stacked = stacked.stack(state.bases[i])
-    ok = rank(stacked) == state.message_dim
+    # The stacked right-hand side may exceed one BitVector's 64 bits.
+    rhs_word = 0
+    pos = 0
+    for i in idx:
+        rhs_word |= state.stored[i].word << pos
+        pos += state.bases[i].row_count
+    rank, x = _solve_words(stacked.words(), state.message_dim, rhs_word)
+    ok = rank == state.message_dim
     result: Optional[BitVector] = None
     if ok:
-        # The stacked right-hand side may exceed one BitVector's 64 bits.
-        rhs_word = 0
-        pos = 0
-        for i in idx:
-            rhs_word |= state.stored[i].word << pos
-            pos += state.bases[i].row_count
-        x = _solve_words(stacked.words(), state.message_dim, rhs_word)
         if x is None:
             raise SimulationError("recovery-set decode was inconsistent")
         result = BitVector(state.message_dim, x)

@@ -83,6 +83,14 @@ def test_validate_good_file(tmp_path, capsys):
     assert "rate: 1/2" in out
 
 
+def test_validate_rbt_mbr_n8(tmp_path, capsys):
+    # repair_locality searches every node's helper sets of size n - 1
+    path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == EXIT_OK
+    assert "profile: (28; 8,7,7,7,1)" in out
+
+
 def test_validate_record_stream(tmp_path, capsys):
     path = write_code(tmp_path, capsys, "example1")
     code, out, err = run(capsys, "--format", "record-stream", "validate", str(path))

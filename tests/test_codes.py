@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storagecodes.codes import (
     CodeError,
@@ -20,7 +22,8 @@ from storagecodes.codes import (
     validate,
     validate_plan,
 )
-from storagecodes.gf2 import BitMatrix, BitVector, Subspace, subspace_sum
+from storagecodes.constructions import example1, rbt_mbr, repetition_code, single_parity
+from storagecodes.gf2 import BitMatrix, BitVector, Subspace, subspace_sum, subspaces_of
 
 
 def four_rotations():
@@ -209,6 +212,71 @@ def test_find_repair_plan_is_deterministic():
     a = find_repair_plan(code, 0, [1, 2, 3], beta=1)
     b = find_repair_plan(code, 0, [1, 2, 3], beta=1)
     assert a == b
+
+
+def reference_repair_spaces(code, failed, helpers, beta):
+    """The first choice of repair spaces, in search order, that covers failed.
+
+    No pruning: every tuple of beta-dim subspaces of the sorted helpers'
+    storage spaces, first helper outermost.
+    """
+    target = code.subspaces[failed]
+    choices = [list(subspaces_of(code.subspaces[h], beta)) for h in helpers]
+    for spaces in product(*choices):
+        if subspace_sum(list(spaces)).contains_subspace(target):
+            return dict(zip(helpers, spaces))
+    return None
+
+
+def assert_search_matches_reference(code, beta):
+    for failed in range(code.n):
+        others = [i for i in range(code.n) if i != failed]
+        for size in range(1, code.n):
+            for helpers in combinations(others, size):
+                plan = find_repair_plan(code, failed, helpers, beta)
+                expect = reference_repair_spaces(code, failed, helpers, beta)
+                if expect is None:
+                    assert plan is None, (failed, helpers)
+                else:
+                    assert plan is not None, (failed, helpers)
+                    assert plan.helpers == helpers
+                    assert plan.repair_spaces == expect, (failed, helpers)
+
+
+ORACLE_CODES = [
+    pytest.param(example1, id="example1"),
+    pytest.param(partial(rbt_mbr, 4), id="rbt-mbr-n4"),
+    *(pytest.param(partial(single_parity, r), id=f"parity-r{r}") for r in (2, 3, 4)),
+    *(
+        pytest.param(partial(repetition_code, n, 2, 2, variant), id=f"repetition-n{n}-{variant}")
+        for n in (3, 6)
+        for variant in ("split", "copy")
+    ),
+]
+
+
+@pytest.mark.parametrize("construct", ORACLE_CODES)
+def test_find_repair_plan_matches_unpruned_reference(construct):
+    named = construct()
+    for beta in sorted({1, named.declared.beta}):
+        assert_search_matches_reference(named.code, beta)
+
+
+@st.composite
+def small_codes(draw):
+    """Codes with m <= 5, n <= 4, alpha <= 2 (rows may be dependent)."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 4))
+    alpha = draw(st.integers(1, min(2, m)))
+    row = st.integers(1, (1 << m) - 1)
+    words = [[draw(row) for _ in range(alpha)] for _ in range(n)]
+    return StorageCode(m, alpha, tuple(BitMatrix.from_words(m, w) for w in words))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(small_codes(), st.sampled_from([1, 2]))
+def test_find_repair_plan_matches_reference_on_small_codes(code, beta):
+    assert_search_matches_reference(code, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,12 @@ def test_rbt_mbr_plans_transfer_exact_symbols():
             assert named.code.subspaces[failed].contains(row)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_rbt_mbr_repair_locality_by_search(n):
+    # the search itself, not the stored plans, must find locality n - 1
+    assert repair_locality(rbt_mbr(n).code, 1) == n - 1
+
+
 def test_rbt_mbr_range_check():
     with pytest.raises(CodeError):
         rbt_mbr(2)
