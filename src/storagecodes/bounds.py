@@ -38,10 +38,14 @@ class BoundReport:
         return " ".join(parts)
 
 
-def cutset_bound(k: int, r: int, alpha: int, beta: int) -> int:
-    """Max-flow bound on storable information: sum of min((r-j)*beta, alpha)."""
+def _check_k_r(k: int, r: int) -> None:
     if not 1 <= k <= r:
         raise ValueError(f"need 1 <= k <= r, got k={k}, r={r}")
+
+
+def cutset_bound(k: int, r: int, alpha: int, beta: int) -> int:
+    """Max-flow bound on storable information: sum of min((r-j)*beta, alpha)."""
+    _check_k_r(k, r)
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive")
     return sum(min((r - j) * beta, alpha) for j in range(k))
@@ -49,16 +53,18 @@ def cutset_bound(k: int, r: int, alpha: int, beta: int) -> int:
 
 def msr_point(k: int, r: int, beta: int) -> Tuple[int, int]:
     """Minimum-storage operating point: alpha = (r-k+1)*beta, m = k*alpha."""
-    if k > r:
-        raise ValueError("need k <= r")
+    _check_k_r(k, r)
+    if beta < 1:
+        raise ValueError("beta must be positive")
     alpha = (r - k + 1) * beta
     return alpha, k * alpha
 
 
 def mbr_point(k: int, r: int, beta: int) -> Tuple[int, int]:
     """Minimum-bandwidth operating point: alpha = r*beta, m = beta*(kr - C(k,2))."""
-    if k > r:
-        raise ValueError("need k <= r")
+    _check_k_r(k, r)
+    if beta < 1:
+        raise ValueError("beta must be positive")
     alpha = r * beta
     m = beta * (k * r - k * (k - 1) // 2)
     return alpha, m

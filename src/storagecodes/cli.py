@@ -36,8 +36,17 @@ EXIT_CAP = 5
 
 
 def _cap() -> Optional[int]:
+    """STORAGECODE_CAP as a positive int, or None when it is unset."""
     raw = os.environ.get("STORAGECODE_CAP")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise ValueError(f"STORAGECODE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _emit(args, pairs) -> None:
@@ -71,7 +80,12 @@ def cmd_validate(args) -> int:
     k = recovery_dimension(code)
     beta = cf.declared.beta if cf.declared else 1
     try:
-        r = repair_locality(code, beta, _cap())
+        cap = _cap()
+    except ValueError as exc:
+        print(f"bad parameters: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        r = repair_locality(code, beta, cap)
     except EnumerationCapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -188,65 +202,43 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _point(alpha_m):
+    """An operating point's value m, with its alpha as an extra field."""
+    alpha, m = alpha_m
+    return m, {"alpha": alpha}
+
+
+def _theorem1(n, r, alpha, case):
+    case = case.replace("-", "_")
+    return bounds.theorem1_bound(case, n, r, alpha), {"case": case}
+
+
+# Each bound's parameters are named like the options that supply them; it
+# returns its value and the extra fields of its record.
+BOUNDS = {
+    "cutset": lambda k, r, alpha, beta: (bounds.cutset_bound(k, r, alpha, beta), {}),
+    "msr": lambda k, r, beta: _point(bounds.msr_point(k, r, beta)),
+    "mbr": lambda k, r, beta: _point(bounds.mbr_point(k, r, beta)),
+    "locality-distance": lambda k, r, d: (bounds.linear_locality_distance_bound(k, r, d), {}),
+    "info-distance": lambda n, m, r, alpha: (bounds.info_distance_bound(n, m, r, alpha), {}),
+    "theorem1": _theorem1,
+    "theorem2": lambda n, alpha, beta: (
+        bounds.theorem2_bound(n, alpha, beta),
+        {"rate_bound": bounds.theorem2_rate_bound(alpha, beta)},
+    ),
+}
+
+
 def cmd_bound(args) -> int:
-    name = args.name
+    fn = BOUNDS[args.name]
+    inputs = {p: getattr(args, p) for p in inspect.signature(fn).parameters}
     try:
-        if name == "cutset":
-            report = bounds.BoundReport(
-                "cutset",
-                {"k": args.k, "r": args.r, "alpha": args.alpha, "beta": args.beta},
-                bounds.cutset_bound(args.k, args.r, args.alpha, args.beta),
-            )
-        elif name == "msr":
-            alpha, m = bounds.msr_point(args.k, args.r, args.beta)
-            report = bounds.BoundReport(
-                "msr", {"k": args.k, "r": args.r, "beta": args.beta}, m,
-                extra={"alpha": alpha},
-            )
-        elif name == "mbr":
-            alpha, m = bounds.mbr_point(args.k, args.r, args.beta)
-            report = bounds.BoundReport(
-                "mbr", {"k": args.k, "r": args.r, "beta": args.beta}, m,
-                extra={"alpha": alpha},
-            )
-        elif name == "locality-distance":
-            report = bounds.BoundReport(
-                "locality-distance",
-                {"k": args.k, "r": args.r, "d": args.d},
-                bounds.linear_locality_distance_bound(args.k, args.r, args.d),
-            )
-        elif name == "info-distance":
-            report = bounds.BoundReport(
-                "info-distance",
-                {"n": args.n, "m": args.m, "r": args.r, "alpha": args.alpha},
-                bounds.info_distance_bound(args.n, args.m, args.r, args.alpha),
-            )
-        elif name == "theorem1":
-            case = (
-                bounds.CASE_ALPHA_EQ_BETA
-                if args.case in ("alpha-eq-beta", bounds.CASE_ALPHA_EQ_BETA)
-                else bounds.CASE_ALPHA_EQ_R_BETA
-            )
-            report = bounds.BoundReport(
-                "theorem1",
-                {"n": args.n, "r": args.r, "alpha": args.alpha},
-                bounds.theorem1_bound(case, args.n, args.r, args.alpha),
-                extra={"case": case},
-            )
-        elif name == "theorem2":
-            report = bounds.BoundReport(
-                "theorem2",
-                {"n": args.n, "alpha": args.alpha, "beta": args.beta},
-                bounds.theorem2_bound(args.n, args.alpha, args.beta),
-                extra={"rate_bound": bounds.theorem2_rate_bound(args.alpha, args.beta)},
-            )
-        else:
-            print(f"unknown bound {name!r}", file=sys.stderr)
-            return EXIT_PARSE
+        value, extra = fn(**inputs)
     except (ValueError, TypeError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    print(report.to_record())
+    inputs.pop("case", None)  # reported, normalised, among the extras
+    print(bounds.BoundReport(args.name, inputs, value, extra=extra).to_record())
     return EXIT_OK
 
 
@@ -326,13 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound", parents=after)
-    p.add_argument(
-        "name",
-        choices=[
-            "cutset", "msr", "mbr", "locality-distance", "info-distance",
-            "theorem1", "theorem2",
-        ],
-    )
+    p.add_argument("name", choices=list(BOUNDS))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--n", type=int, default=3)
@@ -340,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--beta", type=int, default=1)
-    p.add_argument("--case", default="alpha-eq-beta")
+    p.add_argument(
+        "--case",
+        choices=["alpha-eq-beta", "alpha_eq_beta", "alpha-eq-r-beta", "alpha_eq_r_beta"],
+        default="alpha-eq-beta",
+    )
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("game", help="verify a locality-rate theorem by game search", parents=after)

@@ -315,27 +315,52 @@ _INF = float("inf")
 class _Searcher:
     """Alpha-beta minimax over kill/rebuild rounds with a transposition table.
 
-    A table entry maps (canonical key, rounds left) to a fail-soft value
-    with an EXACT/LOWER/UPPER flag plus the best continuation.
+    A table entry maps (side to move, canonical key, rounds left) to a
+    fail-soft value with an EXACT/LOWER/UPPER flag plus the best
+    continuation.  The memo cap counts the entries of both sides.
     """
 
     EXACT, LOWER, UPPER = 0, 1, 2
+    KILLER, BUILDER = 0, 1
 
     def __init__(self, r: int, alpha: int, beta: int, memo_cap: int) -> None:
         self.r = r
         self.alpha = alpha
         self.beta = beta
         self.memo_cap = memo_cap
-        self.table: Dict[Tuple[str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
-        self.table_b: Dict[Tuple[str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
+        self.table: Dict[Tuple[int, str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
         # Window-independent per-position caches, keyed by the labeled graph:
         # deduplicated kill moves, and the killed state's cut with its rebuilds.
         self.kill_cache: Dict[FlowGraph, List[Tuple[int, FlowGraph, str]]] = {}
         self.cand_cache: Dict[FlowGraph, Tuple[int, List[Tuple[Tuple[int, ...], FlowGraph]]]] = {}
 
-    def _check_cap(self) -> None:
-        if len(self.table) + len(self.table_b) >= self.memo_cap:
+    def _probe(
+        self, entry: Tuple[int, str, int], lo: float, hi: float
+    ) -> Optional[Tuple[float, Tuple[Move, ...]]]:
+        """The stored result for entry if its flag settles the window."""
+        hit = self.table.get(entry)
+        if hit is not None:
+            value, flag, line = hit
+            if flag == self.EXACT or (flag == self.LOWER and value >= hi) or (
+                flag == self.UPPER and value <= lo
+            ):
+                return value, line
+        return None
+
+    def _store(
+        self, entry: Tuple[int, str, int], best: float, line: Tuple[Move, ...], lo: float, hi: float
+    ) -> Tuple[float, Tuple[Move, ...]]:
+        """Record a fail-soft result searched in the window (lo, hi); return it."""
+        if len(self.table) >= self.memo_cap:
             raise CapExceededError(f"transposition table exceeded {self.memo_cap} entries")
+        if best <= lo:
+            flag = self.UPPER  # cutoff: true value is at most best
+        elif best >= hi:
+            flag = self.LOWER  # children were window-pruned: at least best
+        else:
+            flag = self.EXACT
+        self.table[entry] = (best, flag, line)
+        return best, line
 
     def _kills(self, g: FlowGraph) -> List[Tuple[int, FlowGraph, str]]:
         hit = self.kill_cache.get(g)
@@ -380,77 +405,49 @@ class _Searcher:
         if rounds == 0:
             return _INF, ()
         key = canonical_key(g) if key is None else key
-        entry = (key, rounds)
-        hit = self.table.get(entry)
+        entry = (self.KILLER, key, rounds)
+        hit = self._probe(entry, lo, hi)
         if hit is not None:
-            value, flag, line = hit
-            if flag == self.EXACT or (flag == self.LOWER and value >= hi) or (
-                flag == self.UPPER and value <= lo
-            ):
-                return value, line
+            return hit
 
         best: float = _INF
         best_line: Tuple[Move, ...] = ()
-        orig_lo, orig_hi = lo, hi
         for victim, killed, kkey in self._kills(g):
-            value, line = self._builder(killed, rounds, lo, hi, kkey)
+            value, line = self._builder(killed, rounds, lo, min(hi, best), kkey)
             if value < best:
                 best = value
                 best_line = (("kill", (victim,)),) + line
-            hi = min(hi, best)
             if best <= lo:
                 break
-        self._check_cap()
-        if best <= orig_lo:
-            flag = self.UPPER  # cutoff: true value is at most best
-        elif best >= orig_hi:
-            flag = self.LOWER  # children were window-pruned: at least best
-        else:
-            flag = self.EXACT
-        self.table[entry] = (best, flag, best_line)
-        return best, best_line
+        return self._store(entry, best, best_line, lo, hi)
 
     def _builder(
         self, g: FlowGraph, rounds: int, lo: float, hi: float, kkey: str
     ) -> Tuple[float, Tuple[Move, ...]]:
         """BUILDER replies to a kill; value folds in the post-rebuild cut,
         which every rebuild keeps at the killed state's collector value."""
-        entry = (kkey, rounds)
-        hit = self.table_b.get(entry)
+        entry = (self.BUILDER, kkey, rounds)
+        hit = self._probe(entry, lo, hi)
         if hit is not None:
-            value, flag, line = hit
-            if flag == self.EXACT or (flag == self.LOWER and value >= hi) or (
-                flag == self.UPPER and value <= lo
-            ):
-                return value, line
+            return hit
 
         cv, candidates = self._candidates(g)
         best: float = -_INF
         best_line: Tuple[Move, ...] = ()
-        orig_lo, orig_hi = lo, hi
         for helpers, child in candidates:
-            if cv <= lo:
+            if cv <= max(lo, best):
                 # Below the window: every candidate is capped by cv, so
                 # report it as a fail-soft upper bound.
                 best, best_line = cv, (("rebuild", helpers),)
                 break
-            sub, line = self.search(child, rounds - 1, lo, hi)
+            sub, line = self.search(child, rounds - 1, max(lo, best), hi)
             value = min(cv, sub)
             if value > best:
                 best = value
                 best_line = (("rebuild", helpers),) + line
-            lo = max(lo, best)
             if best >= min(cv, hi):
                 break  # cutoff, or min(cv, .) can no longer improve the max
-        self._check_cap()
-        if best >= orig_hi:
-            flag = self.LOWER
-        elif best <= orig_lo:
-            flag = self.UPPER
-        else:
-            flag = self.EXACT
-        self.table_b[entry] = (best, flag, best_line)
-        return best, best_line
+        return self._store(entry, best, best_line, lo, hi)
 
 
 def minimax(

@@ -31,10 +31,6 @@ class StuckError(SimulationError):
     """Functional repair found no spec-satisfying replacement subspace."""
 
 
-EXACT = "exact"
-FUNCTIONAL = "functional"
-
-
 @dataclass
 class TraceEvent:
     """One simulator event as an ordered flat record."""
@@ -54,21 +50,50 @@ def _space_text(space: Subspace) -> str:
 
 
 @dataclass
-class SystemState:
-    """Per-node stored blocks plus the metadata needed to repair them."""
+class ExactRepair:
+    """The newcomer stores the failed node's block again, bit for bit.
 
-    mode: str
+    A repair uses the stored plan for the failed node, else the first
+    plan `find_repair_plan` finds over all live helpers.
+    """
+
+    code: StorageCode
+    plans: Optional[Dict[int, RepairPlan]] = None
+    beta: Optional[int] = None
+
+    def __call__(self, state: SystemState, failed: int) -> None:
+        plan = self.plans.get(failed) if self.plans else None
+        if plan is None:
+            if self.beta is None:
+                raise SimulationError("exact repair needs stored plans or beta")
+            plan = find_repair_plan(self.code, failed, sorted(state.live), self.beta)
+            if plan is None:
+                raise SimulationError(f"node {failed} is not repairable")
+        # Through the module global, so a wrapper installed on it sees the call.
+        exact_repair(state, plan)
+
+
+@dataclass
+class FunctionalRepair:
+    """The newcomer may store any subspace the specification admits."""
+
+    spec: FunctionalSpec
+
+    def __call__(self, state: SystemState, failed: int) -> None:
+        functional_repair(state, failed)
+
+
+@dataclass
+class SystemState:
+    """Per-node stored blocks plus the rule that repairs them."""
+
     message_dim: int
-    alpha: int
     bases: List[BitMatrix]
     stored: Dict[int, BitVector]
     live: Set[int]
+    rule: Union[ExactRepair, FunctionalRepair]
     epoch: int = 0
     trace: List[TraceEvent] = field(default_factory=list)
-    code: Optional[StorageCode] = None  # exact mode: the fixed code
-    plans: Optional[Dict[int, RepairPlan]] = None
-    beta: Optional[int] = None
-    spec: Optional[FunctionalSpec] = None  # functional mode
     message: Optional[BitVector] = None  # verification only, not protocol data
 
     @property
@@ -93,15 +118,11 @@ def encode(
         raise CodeError("message length must equal the code's message dimension")
     stored = {i: mat.mat_vec(x) for i, mat in enumerate(code.node_bases)}
     state = SystemState(
-        mode=EXACT,
         message_dim=code.message_dim,
-        alpha=code.alpha,
         bases=list(code.node_bases),
         stored=stored,
         live=set(range(code.n)),
-        code=code,
-        plans=plans,
-        beta=beta,
+        rule=ExactRepair(code, plans, beta),
         message=x,
     )
     state.record(
@@ -126,14 +147,11 @@ def encode_functional(
         raise CodeError("initial state violates the specification: " + "; ".join(problems))
     stored = {i: b.mat_vec(x) for i, b in enumerate(bases)}
     state = SystemState(
-        mode=FUNCTIONAL,
         message_dim=spec.ambient_dim,
-        alpha=spec.node_dim,
         bases=list(bases),
         stored=stored,
         live=set(range(spec.node_count)),
-        spec=spec,
-        beta=spec.beta,
+        rule=FunctionalRepair(spec),
         message=x,
     )
     state.record(
@@ -191,57 +209,71 @@ def _coefficients(mat: BitMatrix, target: BitVector) -> BitVector:
     return combo
 
 
+def _store_repair(
+    state: SystemState,
+    kind: str,
+    failed: int,
+    transfers: Dict[int, Sequence[BitVector]],
+    basis: BitMatrix,
+    *fields: Tuple[str, str],
+) -> None:
+    """Rebuild, check, store and record the newcomer's block for basis.
+
+    transfers maps each helper to the vectors v it sends the symbol v . x
+    of, computed from its own stored block.  The newcomer expresses its
+    basis rows in the vectors, combines the symbols alike, and checks the
+    block against the out-of-band message.
+    """
+    sent = [(h, v) for h, vectors in transfers.items() for v in vectors]
+    symbols = 0
+    for i, (h, v) in enumerate(sent):
+        if _coefficients(state.bases[h], v).dot(state.stored[h]):
+            symbols |= 1 << i
+    sym_vec = BitVector(len(sent), symbols)
+    vmat = BitMatrix.from_words(state.message_dim, [v.word for _, v in sent])
+    block = 0
+    for i, row in enumerate(basis.rows):
+        if _coefficients(vmat, row).dot(sym_vec):
+            block |= 1 << i
+    restored = BitVector(basis.row_count, block)
+
+    assert state.message is not None
+    if restored != basis.mat_vec(state.message):
+        raise SimulationError(f"repair of node {failed} did not restore its block")
+
+    state.bases[failed] = basis
+    state.stored[failed] = restored
+    state.live.add(failed)
+    state.epoch += 1
+    state.record(
+        kind,
+        ("node", str(failed)),
+        ("helpers", ",".join(map(str, transfers))),
+        ("symbols_transferred", str(len(sent))),
+        *fields,
+    )
+
+
 def exact_repair(state: SystemState, plan: RepairPlan) -> None:
     """Rebuild a failed node bit-for-bit from its helpers' repair symbols."""
-    if state.mode != EXACT or state.code is None:
-        raise SimulationError("exact_repair requires exact mode")
+    if not isinstance(state.rule, ExactRepair):
+        raise SimulationError("exact_repair requires an exact-repair state")
     if plan.failed in state.live:
         raise SimulationError(f"node {plan.failed} is still live; fail it first")
     for h in plan.helpers:
         if h not in state.live:
             raise SimulationError(f"helper {h} is not live")
-    problems = validate_plan(state.code, plan)
+    code = state.rule.code
+    problems = validate_plan(code, plan)
     if problems:
         raise SimulationError("invalid repair plan: " + "; ".join(problems))
 
-    # Each helper projects its stored block onto its repair-space basis.
-    transfer_words: List[int] = []
-    transfer_symbols: List[int] = []
-    for h in plan.helpers:
-        basis_h = state.bases[h]
-        for w in plan.repair_spaces[h].basis.rows:
-            coeff = _coefficients(basis_h, w)
-            transfer_words.append(w.word)
-            transfer_symbols.append(coeff.dot(state.stored[h]))
-
-    # The newcomer re-expresses its own basis rows in the repair vectors.
-    wmat = BitMatrix.from_words(state.message_dim, transfer_words)
-    target_basis = state.code.node_bases[plan.failed]
-    sym_vec = BitVector(
-        len(transfer_symbols),
-        sum(bit << i for i, bit in enumerate(transfer_symbols)),
-    )
-    restored_word = 0
-    for i, b in enumerate(target_basis.rows):
-        combo = _coefficients(wmat, b)
-        if combo.dot(sym_vec):
-            restored_word |= 1 << i
-    restored = BitVector(target_basis.row_count, restored_word)
-
-    assert state.message is not None
-    expected = target_basis.mat_vec(state.message)
-    if restored != expected:
-        raise SimulationError("exact repair did not restore the stored block")
-
-    state.stored[plan.failed] = restored
-    state.live.add(plan.failed)
-    state.epoch += 1
-    state.record(
-        "repair-exact",
-        ("node", str(plan.failed)),
-        ("helpers", ",".join(map(str, plan.helpers))),
-        ("symbols_transferred", str(len(transfer_symbols))),
-        ("spaces", ";".join(f"{h}:{_space_text(plan.repair_spaces[h])}" for h in plan.helpers)),
+    # Each helper sends its stored block projected on its repair-space basis.
+    transfers = {h: plan.repair_spaces[h].basis.rows for h in plan.helpers}
+    spaces = ";".join(f"{h}:{_space_text(plan.repair_spaces[h])}" for h in plan.helpers)
+    _store_repair(
+        state, "repair-exact", plan.failed, transfers, code.node_bases[plan.failed],
+        ("spaces", spaces),
     )
 
 
@@ -255,11 +287,11 @@ def functional_repair(state: SystemState, failed: int) -> None:
     subspaces in canonical enumeration order; the first combination
     satisfying the specification wins, making repairs replayable.
     """
-    if state.mode != FUNCTIONAL or state.spec is None:
-        raise SimulationError("functional_repair requires functional mode")
+    if not isinstance(state.rule, FunctionalRepair):
+        raise SimulationError("functional_repair requires a functional-repair state")
     if failed in state.live:
         raise SimulationError(f"node {failed} is still live; fail it first")
-    spec = state.spec
+    spec = state.rule.spec
     survivors = sorted(state.live)
     if len(survivors) != spec.node_count - 1:
         raise SimulationError("exactly one node may be failed at a time")
@@ -286,61 +318,34 @@ def functional_repair(state: SystemState, failed: int) -> None:
             verdicts[cand] = spec.admits(survivor_spaces, cand)
         return verdicts[cand]
 
-    def choose() -> Optional[Tuple[Dict[int, BitVector], Subspace]]:
-        def rec(depth: int, picked: Dict[int, BitVector]):
-            if depth == len(survivors):
-                span = Subspace.spanned_by(state.message_dim, picked.values())
-                for cand in subspaces_of(span, spec.node_dim):
-                    if admits(cand):
-                        return dict(picked), cand
-                return None
-            i = survivors[depth]
-            for v in survivor_vectors[i]:
-                picked[i] = v
-                hit = rec(depth + 1, picked)
-                if hit:
-                    return hit
-                del picked[i]
+    def choose(
+        depth: int, picked: Dict[int, BitVector]
+    ) -> Optional[Tuple[Dict[int, BitVector], Subspace]]:
+        if depth == len(survivors):
+            span = Subspace.spanned_by(state.message_dim, picked.values())
+            for cand in subspaces_of(span, spec.node_dim):
+                if admits(cand):
+                    return dict(picked), cand
             return None
+        i = survivors[depth]
+        for v in survivor_vectors[i]:
+            picked[i] = v
+            hit = choose(depth + 1, picked)
+            if hit:
+                return hit
+            del picked[i]
+        return None
 
-        return rec(0, {})
-
-    hit = choose()
+    hit = choose(0, {})
     if hit is None:
         raise StuckError(f"no spec-satisfying replacement exists for node {failed}")
     picked, new_space = hit
 
-    # Downloads: one symbol a_i . x per survivor, computed node-locally.
-    downloads: List[int] = []
-    for i in survivors:
-        coeff = _coefficients(state.bases[i], picked[i])
-        downloads.append(coeff.dot(state.stored[i]))
-    amat = BitMatrix.from_words(state.message_dim, [picked[i].word for i in survivors])
-    dl_vec = BitVector(len(downloads), sum(b << i for i, b in enumerate(downloads)))
-
-    new_basis = new_space.basis
-    stored_word = 0
-    for i, row in enumerate(new_basis.rows):
-        combo = _coefficients(amat, row)
-        if combo.dot(dl_vec):
-            stored_word |= 1 << i
-    new_stored = BitVector(new_basis.row_count, stored_word)
-
-    assert state.message is not None
-    if new_stored != new_basis.mat_vec(state.message):
-        raise SimulationError("functional repair produced inconsistent symbols")
-
-    state.bases[failed] = new_basis
-    state.stored[failed] = new_stored
-    state.live.add(failed)
-    state.epoch += 1
-    state.record(
-        "repair-functional",
-        ("node", str(failed)),
-        ("helpers", ",".join(map(str, survivors))),
-        ("symbols_transferred", str(len(downloads))),
+    # Downloads: one symbol a_i . x per survivor.
+    _store_repair(
+        state, "repair-functional", failed, {i: [picked[i]] for i in survivors}, new_space.basis,
         ("vectors", ";".join(f"{i}:{picked[i].to_string()}" for i in survivors)),
-        ("new_basis", "+".join(new_basis.to_strings())),
+        ("new_basis", _space_text(new_space)),
     )
 
 
@@ -350,11 +355,9 @@ ScriptItem = Union[Tuple[str], Tuple[str, int], Tuple[str, Sequence[int]]]
 def run_scenario(state: SystemState, script: Sequence[ScriptItem]) -> List[TraceEvent]:
     """Execute fail / repair / collect events in order; return the trace.
 
-    Repairs auto-select a plan: exact mode prefers the cached canonical
-    plan for the failed node and otherwise searches one over all live
-    helpers; functional mode uses the deterministic choice rule.  Only
-    one node may be failed at any time, and every collect on a recovery
-    set must decode the original message.
+    Each repair applies the state's repair rule to the failed node.
+    Only one node may be failed at any time, and every collect on a
+    recovery set must decode the original message.
     """
     pending: Optional[int] = None
     for item in script:
@@ -368,19 +371,7 @@ def run_scenario(state: SystemState, script: Sequence[ScriptItem]) -> List[Trace
         elif op == "repair":
             if pending is None:
                 raise SimulationError("repair without a failed node")
-            if state.mode == EXACT:
-                plan = state.plans.get(pending) if state.plans else None
-                if plan is None:
-                    if state.beta is None:
-                        raise SimulationError("exact mode needs cached plans or beta")
-                    plan = find_repair_plan(
-                        state.code, pending, sorted(state.live), state.beta
-                    )
-                    if plan is None:
-                        raise SimulationError(f"node {pending} is not repairable")
-                exact_repair(state, plan)
-            else:
-                functional_repair(state, pending)
+            state.rule(state, pending)
             pending = None
         elif op == "collect":
             indices = list(item[1])  # type: ignore[arg-type]

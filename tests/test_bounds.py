@@ -79,6 +79,13 @@ def test_points_validate_k_le_r():
         mbr_point(3, 2, 1)
 
 
+@pytest.mark.parametrize("point", [msr_point, mbr_point])
+@pytest.mark.parametrize("k, r, beta", [(0, 2, 1), (-2, 1, 1), (1, 2, 0), (2, 3, -1)])
+def test_points_validate_k_and_beta_positive(point, k, r, beta):
+    with pytest.raises(ValueError):
+        point(k, r, beta)
+
+
 # ---------------------------------------------------------------------------
 # locality-distance bounds
 

@@ -341,6 +341,42 @@ def test_bound_bad_parameters(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mbr", "--k", "-2", "--r", "1", "--beta", "-1"),
+        ("msr", "--k", "0"),
+        ("msr", "--k", "1", "--r", "2", "--beta", "0"),
+    ],
+)
+def test_bound_points_reject_bad_parameters(capsys, argv):
+    code, out, err = run(capsys, "bound", *argv)
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith("bad parameters:")
+
+
+@pytest.mark.parametrize(
+    "spellings, record",
+    [
+        (("alpha-eq-beta", "alpha_eq_beta"), "bound=theorem1 n=5 r=2 alpha=2 value=6 case=alpha_eq_beta\n"),
+        (("alpha-eq-r-beta", "alpha_eq_r_beta"), "bound=theorem1 n=5 r=2 alpha=2 value=5 case=alpha_eq_r_beta\n"),
+    ],
+)
+def test_bound_theorem1_case_spellings(capsys, spellings, record):
+    for case in spellings:
+        code, out, err = run(
+            capsys, "bound", "theorem1", "--case", case, "--n", "5", "--r", "2", "--alpha", "2"
+        )
+        assert (code, out) == (EXIT_OK, record)
+
+
+def test_bound_theorem1_unknown_case(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "theorem1", "--case", "bogus"])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # game
 
@@ -378,3 +414,17 @@ def test_game_cap_exceeded(capsys, monkeypatch):
     )
     assert code == EXIT_CAP
     assert "cap exceeded" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+@pytest.mark.parametrize("command", ["validate", "game"])
+def test_cap_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, command, raw):
+    if command == "validate":
+        argv = ["validate", str(write_code(tmp_path, capsys, "rbt-mbr", "--n", "6"))]
+    else:
+        argv = ["game", "--case", "r2", "--n", "5", "--r", "2", "--alpha", "1", "--beta", "1"]
+    monkeypatch.setenv("STORAGECODE_CAP", raw)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and "STORAGECODE_CAP must be a positive integer" in err

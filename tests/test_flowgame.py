@@ -277,6 +277,16 @@ def test_minimax_memo_cap_partial_result():
         minimax(make_game(5, 2, 1, 1), 10, memo_cap=1)
 
 
+# Caps 7 and 8 straddle the point where depth 2 completes, so the memo cap
+# must count the KILLER and BUILDER entries together to reproduce these.
+@pytest.mark.parametrize(
+    "cap, expected", [(7, (8, 1, True)), (8, (6, 2, True)), (300, (5, 5, True))]
+)
+def test_minimax_memo_cap_stops_at_a_pinned_depth(cap, expected):
+    got = minimax(make_game(5, 2, 2, 1), 7, memo_cap=cap)
+    assert (got.value, got.horizon, got.capped) == expected
+
+
 def test_minimax_target_certifies_early():
     got = minimax(make_game(4, 2, 1, 1), 8, target=2)
     assert got.value == 2

@@ -121,6 +121,20 @@ def test_exact_repair_requires_live_helpers():
         exact_repair(state, named.repair_plans[0])
 
 
+def test_exact_repair_rejects_functional_state():
+    state, spec, x = fresh_functional()
+    fail(state, 0)
+    with pytest.raises(SimulationError):
+        exact_repair(state, example1().repair_plans[0])
+
+
+def test_functional_repair_rejects_exact_state():
+    state, named, x = fresh_exact()
+    fail(state, 0)
+    with pytest.raises(SimulationError):
+        functional_repair(state, 0)
+
+
 def test_exact_repair_mbr_family():
     named = rbt_mbr(4)
     rng = random.Random(3)
@@ -242,6 +256,28 @@ def test_run_scenario_searches_plan_when_uncached():
     run_scenario(state, [("fail", 0), ("repair",)])
     assert 0 in state.live
     assert collect(state, (0, 1)) == x
+
+
+def test_run_scenario_exact_without_plans_or_beta_cannot_repair():
+    named = example1()
+    state = encode(named.code, BitVector(4, 0b0110))
+    with pytest.raises(SimulationError):
+        run_scenario(state, [("fail", 0), ("repair",)])
+
+
+def test_run_scenario_functional_matches_direct_calls():
+    script = random_failure_script(4, 20, seed=4)
+    scripted, _, _ = fresh_functional()
+    run_scenario(scripted, script)
+    direct, _, _ = fresh_functional()
+    for item in script:
+        if item[0] == "fail":
+            failed = item[1]
+            fail(direct, failed)
+        else:
+            functional_repair(direct, failed)
+    assert direct.epoch == 20
+    assert trace_to_text(scripted.trace) == trace_to_text(direct.trace)
 
 
 def test_random_failure_script_is_seeded():
