@@ -64,11 +64,11 @@ def cmd_validate(args) -> int:
     except codefile.CodeFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if cf.mode == "functional":
-        spec = cf.spec
+    spec = cf.spec
+    if spec is not None:
         _emit(args, [
             ("mode", "functional"),
-            ("spec", cf.spec_name),
+            ("spec", spec.name),
             ("m", spec.ambient_dim),
             ("n", spec.node_count),
             ("alpha", spec.node_dim),
@@ -114,21 +114,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    """Build a registry code, or example3, the one functional entry.
+    """Build a registry code and write its code file.
 
     Each constructor's parameters (n, r, alpha, variant) are taken from
     the options of the same name.
     """
-    build = named_codes().get(args.name)
+    build = named_codes()[args.name]
+    params = inspect.signature(build).parameters
     try:
-        if args.name == "example3":
-            cf = codefile.functional_file(args.name)
-        elif build is None:
-            print(f"unknown construction {args.name!r}", file=sys.stderr)
-            return EXIT_PARSE
-        else:
-            params = inspect.signature(build).parameters
-            cf = codefile.from_named_code(build(**{p: getattr(args, p) for p in params}))
+        cf = codefile.from_named_code(build(**{p: getattr(args, p) for p in params}))
     except (CodeError, TypeError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -148,28 +142,18 @@ def cmd_simulate(args) -> int:
     except codefile.CodeFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    rng = random.Random(args.seed)
+    code = cf.code
+    x = BitVector(code.message_dim, random.Random(args.seed).randrange(1 << code.message_dim))
     try:
-        if cf.mode == "functional":
-            spec = cf.spec
-            x = BitVector(spec.ambient_dim, rng.randrange(1 << spec.ambient_dim))
-            state = encode_functional(spec, cf.functional_bases, x)
-            n = spec.node_count
+        if cf.spec is None:
+            state = encode(code, x, cf.plans, cf.declared.beta if cf.declared else 1)
         else:
-            code = cf.code
-            x = BitVector(code.message_dim, rng.randrange(1 << code.message_dim))
-            beta = cf.declared.beta if cf.declared else 1
-            state = encode(code, x, cf.plans, beta)
-            n = code.n
-        script = random_failure_script(n, args.rounds, args.seed)
-        run_scenario(state, script)
+            state = encode_functional(cf.spec, code.node_bases, x)
+        run_scenario(state, random_failure_script(code.n, args.rounds, args.seed))
         # Decode check after every repair round, from a random live subset
         # of recovery-dimension size when one exists.
         decode_checks = 0
-        if cf.mode == "functional":
-            k = spec.node_count - 1
-        else:
-            k = recovery_dimension(code)
+        k = recovery_dimension(code)
         check_rng = random.Random(args.seed + 1)
         for _ in range(max(args.rounds, 1)):
             live = sorted(state.live)
@@ -208,10 +192,19 @@ def _point(alpha_m):
     return m, {"alpha": alpha}
 
 
-def _theorem1(n, r, alpha, case):
-    case = case.replace("-", "_")
-    return bounds.theorem1_bound(case, n, r, alpha), {"case": case}
+THEOREM_CASES = [bounds.CASE_ALPHA_EQ_BETA, bounds.CASE_ALPHA_EQ_R_BETA]
 
+
+def _case(text: str) -> str:
+    """A case name in either spelling, alpha-eq-beta or alpha_eq_beta."""
+    return text.replace("-", "_")
+
+
+# The options of `bound`, with the value each takes when it is not given.
+BOUND_DEFAULTS = {
+    "k": 1, "r": 1, "n": 3, "m": 1, "d": 2, "alpha": 1, "beta": 1,
+    "case": bounds.CASE_ALPHA_EQ_BETA,
+}
 
 # Each bound's parameters are named like the options that supply them; it
 # returns its value and the extra fields of its record.
@@ -221,7 +214,9 @@ BOUNDS = {
     "mbr": lambda k, r, beta: _point(bounds.mbr_point(k, r, beta)),
     "locality-distance": lambda k, r, d: (bounds.linear_locality_distance_bound(k, r, d), {}),
     "info-distance": lambda n, m, r, alpha: (bounds.info_distance_bound(n, m, r, alpha), {}),
-    "theorem1": _theorem1,
+    "theorem1": lambda n, r, alpha, case: (
+        bounds.theorem1_bound(case, n, r, alpha), {"case": case}
+    ),
     "theorem2": lambda n, alpha, beta: (
         bounds.theorem2_bound(n, alpha, beta),
         {"rate_bound": bounds.theorem2_rate_bound(alpha, beta)},
@@ -231,30 +226,27 @@ BOUNDS = {
 
 def cmd_bound(args) -> int:
     fn = BOUNDS[args.name]
-    inputs = {p: getattr(args, p) for p in inspect.signature(fn).parameters}
+    params = inspect.signature(fn).parameters
+    unused = [f"--{p}" for p in BOUND_DEFAULTS if p not in params and hasattr(args, p)]
+    if unused:
+        print(f"bad parameters: {args.name} does not take {', '.join(unused)}", file=sys.stderr)
+        return EXIT_PARSE
+    inputs = {p: getattr(args, p, BOUND_DEFAULTS[p]) for p in params}
     try:
         value, extra = fn(**inputs)
     except (ValueError, TypeError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    inputs.pop("case", None)  # reported, normalised, among the extras
+    inputs.pop("case", None)  # reported among the extras
     print(bounds.BoundReport(args.name, inputs, value, extra=extra).to_record())
     return EXIT_OK
 
 
 def cmd_game(args) -> int:
-    case_map = {
-        "alpha-eq-beta": bounds.CASE_ALPHA_EQ_BETA,
-        "alpha-eq-r-beta": bounds.CASE_ALPHA_EQ_R_BETA,
-        "r2": flowgame.CASE_R2,
-    }
-    if args.case not in case_map:
-        print(f"unknown case {args.case!r}", file=sys.stderr)
-        return EXIT_PARSE
     horizon = args.horizon if args.horizon else 2 * args.n
     try:
         report = flowgame.verify_theorem(
-            case_map[args.case], args.n, args.r, args.alpha, args.beta, horizon, _cap()
+            args.case, args.n, args.r, args.alpha, args.beta, horizon, _cap()
         )
     except ValueError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
@@ -304,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("construct", help="write a named code to a file", parents=after)
-    p.add_argument("name", choices=[*named_codes(), "example3"])
+    p.add_argument("name", choices=list(named_codes()))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--alpha", type=int, default=None)
@@ -317,24 +309,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("bound", help="evaluate a closed-form bound", parents=after)
-    p.add_argument("name", choices=list(BOUNDS))
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--beta", type=int, default=1)
-    p.add_argument(
-        "--case",
-        choices=["alpha-eq-beta", "alpha_eq_beta", "alpha-eq-r-beta", "alpha_eq_r_beta"],
-        default="alpha-eq-beta",
+    # An option left out stays unset, so cmd_bound can tell it from a
+    # given one; its value then comes from BOUND_DEFAULTS.
+    p = sub.add_parser(
+        "bound", help="evaluate a closed-form bound", parents=after,
+        argument_default=argparse.SUPPRESS,
     )
+    p.add_argument("name", choices=list(BOUNDS))
+    for option in BOUND_DEFAULTS:
+        if option != "case":
+            p.add_argument(f"--{option}", type=int)
+    p.add_argument("--case", type=_case, choices=THEOREM_CASES)
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("game", help="verify a locality-rate theorem by game search", parents=after)
-    p.add_argument("--case", required=True, choices=["alpha-eq-beta", "alpha-eq-r-beta", "r2"])
+    p.add_argument("--case", required=True, type=_case, choices=[*THEOREM_CASES, flowgame.CASE_R2])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)

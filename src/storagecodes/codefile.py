@@ -1,24 +1,19 @@
 """Versioned on-disk code definition format (JSON, byte-stable output).
 
-Exact codes carry per-node basis rows as '0'/'1' strings (coordinate 0
-first), optional canonical repair plans, and optional declared
-parameters.  Functional codes name their specification and carry the
-initial node bases.
+Every file carries per-node basis rows as '0'/'1' strings (coordinate 0
+first).  An exact code adds optional canonical repair plans and
+optional declared parameters; a functional code names its registry
+entry under "spec", and its nodes are the initial bases.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .codes import CodeParams, RepairPlan, StorageCode, validate
-from .constructions import (
-    FunctionalSpec,
-    NamedCode,
-    example3_initial_bases,
-    example3_spec,
-)
+from .constructions import FunctionalSpec, NamedCode, named_codes
 from .gf2 import BitMatrix, Subspace
 
 FORMAT_VERSION = 1
@@ -30,37 +25,31 @@ class CodeFileError(ValueError):
 
 @dataclass
 class CodeFile:
-    """Parsed contents of a code definition file."""
+    """Parsed contents of a code definition file.
 
-    mode: str  # "exact" or "functional"
+    spec is set for a functional code; plans and declared are written
+    for exact codes only.
+    """
+
     name: Optional[str]
-    code: Optional[StorageCode] = None
+    code: StorageCode
     plans: Optional[Dict[int, RepairPlan]] = None
     declared: Optional[CodeParams] = None
     spec: Optional[FunctionalSpec] = None
-    spec_name: Optional[str] = None
-    functional_bases: Optional[Tuple[BitMatrix, ...]] = None
-
-
-_FUNCTIONAL_SPECS = {
-    "example3": (example3_spec, example3_initial_bases),
-}
 
 
 def dumps(cf: CodeFile) -> str:
-    doc: Dict[str, object] = {"format_version": FORMAT_VERSION, "mode": cf.mode}
+    mode = "exact" if cf.spec is None else "functional"
+    doc: Dict[str, object] = {"format_version": FORMAT_VERSION, "mode": mode}
     if cf.name:
         doc["name"] = cf.name
-    if cf.mode == "functional":
-        assert cf.spec_name and cf.functional_bases is not None
-        doc["spec"] = cf.spec_name
-        doc["nodes"] = [mat.to_strings() for mat in cf.functional_bases]
+    doc["nodes"] = cf.code.basis_strings()
+    if cf.spec is not None:
+        doc["spec"] = cf.spec.name
     else:
-        assert cf.code is not None
         doc["m"] = cf.code.message_dim
         doc["n"] = cf.code.n
         doc["alpha"] = cf.code.alpha
-        doc["nodes"] = cf.code.basis_strings()
         if cf.declared is not None:
             doc["declared"] = {
                 "k": cf.declared.k,
@@ -83,26 +72,19 @@ def dumps(cf: CodeFile) -> str:
 
 
 def from_named_code(named: NamedCode) -> CodeFile:
-    return CodeFile(
-        mode="exact",
-        name=named.name,
-        code=named.code,
-        plans=named.repair_plans,
-        declared=named.declared,
-    )
+    return CodeFile(named.name, named.code, named.repair_plans, named.declared, named.spec)
 
 
-def functional_file(spec_name: str) -> CodeFile:
-    if spec_name not in _FUNCTIONAL_SPECS:
-        raise CodeFileError(f"unknown functional specification {spec_name!r}")
-    spec_fn, bases_fn = _FUNCTIONAL_SPECS[spec_name]
-    return CodeFile(
-        mode="functional",
-        name=spec_name,
-        spec=spec_fn(),
-        spec_name=spec_name,
-        functional_bases=bases_fn(),
-    )
+def _functional_spec(name: object) -> FunctionalSpec:
+    """The spec of the registry's functional code called name."""
+    build = named_codes().get(name) if isinstance(name, str) else None
+    try:
+        spec = build().spec if build else None
+    except TypeError:  # an exact family that needs parameters
+        spec = None
+    if spec is None:
+        raise CodeFileError(f"unknown functional specification {name!r}")
+    return spec
 
 
 def loads(text: str) -> CodeFile:
@@ -117,33 +99,8 @@ def loads(text: str) -> CodeFile:
         raise CodeFileError(f"unsupported format_version {version!r}")
     mode = doc.get("mode", "exact")
     name = doc.get("name")
-
-    if mode == "functional":
-        spec_name = doc.get("spec")
-        if not isinstance(spec_name, str) or spec_name not in _FUNCTIONAL_SPECS:
-            raise CodeFileError(f"unknown functional specification {spec_name!r}")
-        spec_fn, _ = _FUNCTIONAL_SPECS[spec_name]
-        spec = spec_fn()
-        nodes = doc.get("nodes")
-        if not isinstance(nodes, list) or len(nodes) != spec.node_count:
-            raise CodeFileError(f"functional file needs {spec.node_count} node bases")
-        try:
-            bases = tuple(BitMatrix.from_strings(rows) for rows in nodes)
-            spaces = [Subspace.spanned_by(spec.ambient_dim, b.rows) for b in bases]
-        except (ValueError, TypeError) as exc:
-            raise CodeFileError(f"bad node basis: {exc}") from exc
-        problems = spec.violations(spaces)
-        if problems:
-            raise CodeFileError("initial state violates the spec: " + "; ".join(problems))
-        return CodeFile(
-            mode="functional",
-            name=name,
-            spec=spec,
-            spec_name=spec_name,
-            functional_bases=bases,
-        )
-
-    if mode != "exact":
+    spec = _functional_spec(doc.get("spec")) if mode == "functional" else None
+    if spec is None and mode != "exact":
         raise CodeFileError(f"unknown mode {mode!r}")
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
@@ -152,6 +109,15 @@ def loads(text: str) -> CodeFile:
         code = StorageCode.from_basis_strings(nodes)
     except (ValueError, TypeError) as exc:
         raise CodeFileError(f"bad node basis: {exc}") from exc
+
+    if spec is not None:
+        if code.n != spec.node_count:
+            raise CodeFileError(f"functional file needs {spec.node_count} node bases")
+        problems = spec.violations(code.subspaces)
+        if problems:
+            raise CodeFileError("initial state violates the spec: " + "; ".join(problems))
+        return CodeFile(name, code, spec=spec)
+
     for key in ("m", "n", "alpha"):
         if key in doc and doc[key] != getattr(
             code, {"m": "message_dim", "n": "n", "alpha": "alpha"}[key]
@@ -194,7 +160,7 @@ def loads(text: str) -> CodeFile:
         except (KeyError, ValueError, TypeError) as exc:
             raise CodeFileError(f"bad declared parameters: {exc}") from exc
 
-    return CodeFile(mode="exact", name=name, code=code, plans=plans, declared=declared)
+    return CodeFile(name, code, plans, declared)
 
 
 def load(path: str) -> CodeFile:

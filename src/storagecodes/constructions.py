@@ -28,12 +28,17 @@ MAX_RBT_NODES = 11  # C(n,2) must fit the 64-bit vector packing
 
 @dataclass(frozen=True)
 class NamedCode:
-    """A constructed code plus its verified parameter profile."""
+    """A constructed code plus its verified parameter profile.
+
+    A functional-repair code carries its spec; code then holds the
+    initial node bases, which repairs may replace by any the spec admits.
+    """
 
     name: str
     code: StorageCode
     declared: CodeParams
     repair_plans: Optional[Dict[int, RepairPlan]] = None
+    spec: Optional[FunctionalSpec] = None
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,7 @@ class FunctionalSpec:
     spaces to satisfy pred, which takes a t-tuple of subspaces.
     """
 
+    name: str
     ambient_dim: int
     node_count: int
     node_dim: int
@@ -98,6 +104,10 @@ def _verify(named: NamedCode, check_locality: bool = True) -> NamedCode:
                 raise CodeError(f"{named.name}: plan for node {failed}: " + "; ".join(errs))
             if len(plan.helpers) > p.r:
                 raise CodeError(f"{named.name}: plan for node {failed} uses more than r helpers")
+    if named.spec is not None:
+        problems = named.spec.violations(named.code.subspaces)
+        if problems:
+            raise CodeError(f"{named.name}: " + "; ".join(problems))
     if check_locality:
         found = repair_locality(named.code, p.beta)
         if found is None or found > p.r:
@@ -269,6 +279,7 @@ def example3_spec() -> FunctionalSpec:
     three storage spaces span the whole message space.
     """
     return FunctionalSpec(
+        name="example3",
         ambient_dim=5,
         node_count=4,
         node_dim=2,
@@ -290,11 +301,24 @@ def example3_initial_bases() -> Tuple[BitMatrix, ...]:
     )
 
 
+def example3() -> NamedCode:
+    """The example-3 functional-repair code from its initial assignment.
+
+    Any three nodes decode (k = 3) and a newcomer downloads one symbol
+    from each of the three survivors.  The locality search is skipped:
+    it tests exact repair, which this code does not promise.
+    """
+    code = StorageCode(5, 2, example3_initial_bases())
+    named = NamedCode("example3", code, CodeParams(5, 4, 3, 3, 2, 1), spec=example3_spec())
+    return _verify(named, check_locality=False)
+
+
 def named_codes() -> Dict[str, Callable[..., NamedCode]]:
-    """Constructor registry used by the CLI."""
+    """Constructor registry used by the CLI and by code-file loading."""
     return {
         "example1": example1,
         "rbt-mbr": rbt_mbr,
         "repetition": repetition_code,
         "parity": single_parity,
+        "example3": example3,
     }

@@ -107,59 +107,45 @@ class SystemState:
         self.trace.append(TraceEvent(self.epoch, kind, tuple(payload)))
 
 
+def _bootstrap(
+    message_dim: int,
+    bases: Sequence[BitMatrix],
+    x: BitVector,
+    rule: Union[ExactRepair, FunctionalRepair],
+) -> SystemState:
+    """Store B_i . x on every node i; all nodes live, epoch 0."""
+    if x.length != message_dim:
+        raise CodeError(f"message length {x.length} != message dimension {message_dim}")
+    stored = {i: b.mat_vec(x) for i, b in enumerate(bases)}
+    state = SystemState(message_dim, list(bases), stored, set(stored), rule, message=x)
+    state.record(
+        "encode",
+        ("nodes", str(len(bases))),
+        ("symbols_stored", str(sum(b.row_count for b in bases))),
+    )
+    return state
+
+
 def encode(
     code: StorageCode,
     x: BitVector,
     plans: Optional[Dict[int, RepairPlan]] = None,
     beta: Optional[int] = None,
 ) -> SystemState:
-    """Store B_i . x on every node i; all nodes live, epoch 0."""
-    if x.length != code.message_dim:
-        raise CodeError("message length must equal the code's message dimension")
-    stored = {i: mat.mat_vec(x) for i, mat in enumerate(code.node_bases)}
-    state = SystemState(
-        message_dim=code.message_dim,
-        bases=list(code.node_bases),
-        stored=stored,
-        live=set(range(code.n)),
-        rule=ExactRepair(code, plans, beta),
-        message=x,
-    )
-    state.record(
-        "encode",
-        ("nodes", str(code.n)),
-        ("symbols_stored", str(code.n * code.alpha)),
-    )
-    return state
+    """Exact-mode bootstrap: the nodes store the code's blocks of x."""
+    return _bootstrap(code.message_dim, code.node_bases, x, ExactRepair(code, plans, beta))
 
 
 def encode_functional(
     spec: FunctionalSpec, bases: Sequence[BitMatrix], x: BitVector
 ) -> SystemState:
     """Functional-mode bootstrap from an initial spec-satisfying assignment."""
-    if x.length != spec.ambient_dim:
-        raise CodeError("message length must equal the spec's ambient dimension")
     if len(bases) != spec.node_count:
         raise CodeError("wrong number of initial node bases")
-    spaces = [Subspace.spanned_by(spec.ambient_dim, b.rows) for b in bases]
-    problems = spec.violations(spaces)
+    problems = spec.violations([Subspace.from_matrix(b) for b in bases])
     if problems:
         raise CodeError("initial state violates the specification: " + "; ".join(problems))
-    stored = {i: b.mat_vec(x) for i, b in enumerate(bases)}
-    state = SystemState(
-        message_dim=spec.ambient_dim,
-        bases=list(bases),
-        stored=stored,
-        live=set(range(spec.node_count)),
-        rule=FunctionalRepair(spec),
-        message=x,
-    )
-    state.record(
-        "encode",
-        ("nodes", str(spec.node_count)),
-        ("symbols_stored", str(spec.node_count * spec.node_dim)),
-    )
-    return state
+    return _bootstrap(spec.ambient_dim, bases, x, FunctionalRepair(spec))
 
 
 def fail(state: SystemState, node: int) -> None:

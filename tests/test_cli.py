@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line frontend and its exit codes."""
 
+import argparse
 import json
 import random
 
@@ -11,8 +12,10 @@ from storagecodes.cli import (
     EXIT_PARSE,
     EXIT_SIMULATION,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
+from storagecodes.constructions import named_codes
 
 
 def run(capsys, *argv):
@@ -56,6 +59,12 @@ def test_construct_functional(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["mode"] == "functional" and doc["spec"] == "example3"
+
+
+def test_construct_choices_follow_the_registry():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in sub.choices["construct"]._actions if a.dest == "name")
+    assert list(name.choices) == list(named_codes())
 
 
 def test_construct_bad_parameters(capsys):
@@ -179,6 +188,18 @@ def test_non_string_functional_spec_is_parse_error(tmp_path, capsys, command, sp
     code, out, err = run(capsys, command, str(path))
     assert code == EXIT_PARSE
     assert err.startswith("parse error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("spec", ["example1", "rbt-mbr"])
+def test_exact_registry_entry_as_functional_spec_is_parse_error(tmp_path, capsys, command, spec):
+    path = write_code(tmp_path, capsys, "example3")
+    doc = json.loads(path.read_text())
+    doc["spec"] = spec
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"parse error: unknown functional specification {spec!r}\n"
 
 
 def _list_node_row(doc):
@@ -370,6 +391,46 @@ def test_bound_theorem1_case_spellings(capsys, spellings, record):
         assert (code, out) == (EXIT_OK, record)
 
 
+# The options each bound takes; every other bound option is rejected.
+BOUND_OPTIONS = {
+    "cutset": {"k", "r", "alpha", "beta"},
+    "msr": {"k", "r", "beta"},
+    "mbr": {"k", "r", "beta"},
+    "locality-distance": {"k", "r", "d"},
+    "info-distance": {"n", "m", "r", "alpha"},
+    "theorem1": {"n", "r", "alpha", "case"},
+    "theorem2": {"n", "alpha", "beta"},
+}
+ALL_BOUND_OPTIONS = ["k", "r", "n", "m", "d", "alpha", "beta", "case"]
+
+
+def _option(name):
+    return [f"--{name}", "alpha-eq-beta" if name == "case" else "2"]
+
+
+@pytest.mark.parametrize("bound", sorted(BOUND_OPTIONS))
+def test_bound_rejects_options_it_does_not_take(capsys, bound):
+    unused = [o for o in ALL_BOUND_OPTIONS if o not in BOUND_OPTIONS[bound]]
+    for option in unused:
+        code, out, err = run(capsys, "bound", bound, *_option(option))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"bad parameters: {bound} does not take --{option}\n"
+    # several at once are named together, in option order
+    argv = [arg for option in unused for arg in _option(option)]
+    code, out, err = run(capsys, "bound", bound, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"bad parameters: {bound} does not take {', '.join('--' + o for o in unused)}\n"
+
+
+@pytest.mark.parametrize("bound", sorted(BOUND_OPTIONS))
+def test_bound_given_defaults_match_left_out_ones(capsys, bound):
+    defaults = {"k": "1", "r": "1", "n": "3", "m": "1", "d": "2", "alpha": "1", "beta": "1",
+                "case": "alpha-eq-beta"}
+    bare = run(capsys, "bound", bound)
+    given = [arg for o in sorted(BOUND_OPTIONS[bound]) for arg in (f"--{o}", defaults[o])]
+    assert run(capsys, "bound", bound, *given) == bare
+
+
 def test_bound_theorem1_unknown_case(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "theorem1", "--case", "bogus"])
@@ -387,6 +448,33 @@ def test_game_theorem2_small(capsys):
     )
     assert code == EXIT_OK
     assert "value=2" in out and "formula=2" in out and "holds=1" in out
+
+
+@pytest.mark.parametrize(
+    "spellings, params",
+    [
+        (("alpha-eq-beta", "alpha_eq_beta"), ("3", "2", "1", "1")),
+        (("alpha-eq-r-beta", "alpha_eq_r_beta"), ("3", "2", "2", "1")),
+        (("r2",), ("3", "2", "1", "1")),
+    ],
+)
+def test_game_case_spellings(capsys, spellings, params):
+    n, r, alpha, beta = params
+    outputs = set()
+    for case in spellings:
+        code, out, err = run(
+            capsys, "game", "--case", case, "--n", n, "--r", r, "--alpha", alpha, "--beta", beta
+        )
+        assert code == EXIT_OK and "holds=1" in out
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+def test_game_unknown_case(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "--case", "bogus", "--n", "3", "--r", "2", "--alpha", "1", "--beta", "1"])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
 
 
 def test_game_horizon_override(capsys):

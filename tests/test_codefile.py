@@ -5,7 +5,7 @@ import json
 import pytest
 
 from storagecodes import codefile
-from storagecodes.constructions import example1, rbt_mbr
+from storagecodes.constructions import example1, example3, rbt_mbr
 
 
 def test_dumps_is_byte_stable():
@@ -19,7 +19,7 @@ def test_exact_round_trip(tmp_path):
     path = tmp_path / "example1.json"
     codefile.save(codefile.from_named_code(named), str(path))
     loaded = codefile.load(str(path))
-    assert loaded.mode == "exact"
+    assert loaded.spec is None
     assert loaded.code.basis_strings() == named.code.basis_strings()
     assert loaded.declared == named.declared
     assert loaded.plans.keys() == named.repair_plans.keys()
@@ -31,20 +31,30 @@ def test_exact_round_trip(tmp_path):
 
 
 def test_functional_round_trip(tmp_path):
-    cf = codefile.functional_file("example3")
+    cf = codefile.from_named_code(example3())
     path = tmp_path / "fn.json"
     codefile.save(cf, str(path))
     loaded = codefile.load(str(path))
-    assert loaded.mode == "functional"
-    assert loaded.spec_name == "example3"
-    assert [m.to_strings() for m in loaded.functional_bases] == [
-        m.to_strings() for m in cf.functional_bases
-    ]
+    assert loaded.spec is not None
+    assert loaded.spec.name == "example3"
+    assert loaded.code.basis_strings() == cf.code.basis_strings()
+
+
+def test_functional_name_and_spec_are_kept_apart():
+    doc = json.loads(codefile.dumps(codefile.from_named_code(example3())))
+    doc["name"] = "my-example3"
+    text = codefile.dumps(codefile.loads(json.dumps(doc)))
+    loaded = codefile.loads(text)
+    assert (loaded.name, loaded.spec.name) == ("my-example3", "example3")
+    assert json.loads(text) == doc
 
 
 def test_unknown_functional_spec():
-    with pytest.raises(codefile.CodeFileError):
-        codefile.functional_file("bogus")
+    doc = json.loads(codefile.dumps(codefile.from_named_code(example3())))
+    doc["spec"] = "bogus"
+    with pytest.raises(codefile.CodeFileError) as err:
+        codefile.loads(json.dumps(doc))
+    assert "unknown functional specification" in str(err.value)
 
 
 def test_loads_reports_json_error_line():
@@ -81,7 +91,7 @@ def test_loads_rejects_invalid_code():
 
 
 def test_loads_rejects_bad_functional_initial_state():
-    doc = json.loads(codefile.dumps(codefile.functional_file("example3")))
+    doc = json.loads(codefile.dumps(codefile.from_named_code(example3())))
     doc["nodes"][1] = doc["nodes"][0]  # duplicate space: pairwise rule broken
     with pytest.raises(codefile.CodeFileError) as err:
         codefile.loads(json.dumps(doc))

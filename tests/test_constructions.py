@@ -293,5 +293,9 @@ def test_functional_spec_flags_wrong_dimension():
 
 def test_named_codes_registry():
     registry = named_codes()
-    assert set(registry) == {"example1", "rbt-mbr", "repetition", "parity"}
+    assert list(registry) == ["example1", "rbt-mbr", "repetition", "parity", "example3"]
     assert registry["example1"]().name == "example1"
+    assert registry["example1"]().spec is None
+    functional = registry["example3"]()
+    assert functional.spec.name == "example3"
+    assert functional.spec.satisfied(functional.code.subspaces)
