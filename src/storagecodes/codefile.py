@@ -113,6 +113,13 @@ def loads(text: str) -> CodeFile:
     if spec is not None:
         if code.n != spec.node_count:
             raise CodeFileError(f"functional file needs {spec.node_count} node bases")
+        for i, (mat, space) in enumerate(zip(code.node_bases, code.subspaces)):
+            if mat.row_count != spec.node_dim:
+                raise CodeFileError(
+                    f"node {i}: {mat.row_count} basis rows, expected {spec.node_dim}"
+                )
+            if space.dim != mat.row_count:
+                raise CodeFileError(f"node {i}: basis rows are dependent")
         problems = spec.violations(code.subspaces)
         if problems:
             raise CodeFileError("initial state violates the spec: " + "; ".join(problems))

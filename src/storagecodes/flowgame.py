@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import bounds
 
@@ -191,14 +191,14 @@ def dimakis_cutset_value(n: int, k: int, r: int, alpha: int, beta: int) -> int:
 # canonical state keys
 
 def _ancestors_of_live(g: FlowGraph) -> List[int]:
-    seen = set()
-    stack = list(g.live)
+    nodes = g.nodes
+    seen = set(g.live)
+    stack = list(seen)
     while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(h for h, _ in g.nodes[v].helpers)
+        for h, _ in nodes[stack.pop()].helpers:
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
     return sorted(seen)
 
 
@@ -214,25 +214,29 @@ def canonical_key(g: FlowGraph) -> str:
     rel = _ancestors_of_live(g)
     index = {v: i for i, v in enumerate(rel)}
     n = len(rel)
+    nodes = [g.nodes[v] for v in rel]
     helpers = [
-        tuple(sorted((b, index[h]) for h, b in g.nodes[v].helpers)) for v in rel
+        tuple(sorted([(b, index[h]) for h, b in inc.helpers])) if inc.helpers else ()
+        for inc in nodes
     ]
     children: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for i in range(n):
         for b, h in helpers[i]:
             children[h].append((b, i))
-    live = [rel[i] in g.live for i in range(n)]
-    alphas = [g.nodes[v].alpha for v in rel]
+    live = [v in g.live for v in rel]
+    prefix = [f"{int(live[i])}|{inc.alpha}|" for i, inc in enumerate(nodes)]
+    links = list(zip(helpers, children))
 
     def refine(colors: List[int]) -> List[int]:
+        # Returns dense colors: a ranking of the stable signatures.
         while True:
             signatures = [
                 (
-                    colors[i],
-                    tuple(sorted((b, colors[h]) for b, h in helpers[i])),
-                    tuple(sorted((b, colors[c]) for b, c in children[i])),
+                    c,
+                    tuple(sorted([(b, colors[h]) for b, h in hs])) if hs else (),
+                    tuple(sorted([(b, colors[x]) for b, x in cs])) if cs else (),
                 )
-                for i in range(n)
+                for c, (hs, cs) in zip(colors, links)
             ]
             mapping = {sig: j for j, sig in enumerate(sorted(set(signatures)))}
             new = [mapping[sig] for sig in signatures]
@@ -240,34 +244,40 @@ def canonical_key(g: FlowGraph) -> str:
                 return colors
             colors = new
 
-    def encode(order: List[int]) -> str:
-        pos = {v: i for i, v in enumerate(order)}
+    def encode(colors: List[int]) -> str:
+        # Discrete dense colors are each vertex's position in the order.
+        order = [0] * n
+        for v, c in enumerate(colors):
+            order[c] = v
         parts = []
         for v in order:
-            hs = ",".join(f"{b}:{p}" for b, p in sorted((b, pos[h]) for b, h in helpers[v]))
-            parts.append(f"{int(live[v])}|{alphas[v]}|{hs}")
+            hs = helpers[v]
+            if hs:
+                parts.append(
+                    prefix[v]
+                    + ",".join([f"{b}:{p}" for b, p in sorted([(b, colors[h]) for b, h in hs])])
+                )
+            else:
+                parts.append(prefix[v])
         return ";".join(parts)
 
     def canonize(colors: List[int]) -> str:
         colors = refine(colors)
+        if max(colors, default=-1) == n - 1:  # dense colors, all distinct
+            return encode(colors)
         classes: Dict[int, List[int]] = {}
         for i, c in enumerate(colors):
             classes.setdefault(c, []).append(i)
         ambiguous = [members for members in classes.values() if len(members) > 1]
-        if not ambiguous:
-            order = sorted(range(n), key=lambda i: colors[i])
-            return encode(order)
         target = min(ambiguous, key=lambda ms: (len(ms), colors[ms[0]]))
         fresh = max(colors) + 1
         twins = {(helpers[m], tuple(children[m])): m for m in target}
-        return min(
+        return min([
             canonize([fresh if i == member else c for i, c in enumerate(colors)])
             for member in twins.values()
-        )
+        ])
 
-    initial = [
-        (live[i], alphas[i], len(helpers[i]) == 0) for i in range(n)
-    ]
+    initial = [(live[i], nodes[i].alpha, not helpers[i]) for i in range(n)]
     mapping = {sig: j for j, sig in enumerate(sorted(set(initial)))}
     return canonize([mapping[sig] for sig in initial])
 
@@ -318,6 +328,15 @@ class _Searcher:
     A table entry maps (side to move, canonical key, rounds left) to a
     fail-soft value with an EXACT/LOWER/UPPER flag plus the best
     continuation.  The memo cap counts the entries of both sides.
+
+    Moves are generated lazily and kept per labelled position, so that
+    iterative deepening and re-searches with another window resume
+    where an earlier visit stopped.  Kills are deduplicated by the
+    killed state's key one victim at a time, so a cutoff after the
+    first kill keys no further victims.  A rebuild child is built, and
+    its key computed, only when BUILDER first tries that helper set
+    with a round still to play after it; the key is stored beside the
+    child and handed to `search`, so no child is keyed twice.
     """
 
     EXACT, LOWER, UPPER = 0, 1, 2
@@ -329,10 +348,15 @@ class _Searcher:
         self.beta = beta
         self.memo_cap = memo_cap
         self.table: Dict[Tuple[int, str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
-        # Window-independent per-position caches, keyed by the labeled graph:
-        # deduplicated kill moves, and the killed state's cut with its rebuilds.
-        self.kill_cache: Dict[FlowGraph, List[Tuple[int, FlowGraph, str]]] = {}
-        self.cand_cache: Dict[FlowGraph, Tuple[int, List[Tuple[Tuple[int, ...], FlowGraph]]]] = {}
+        # Window-independent per-position move state, keyed by the labeled
+        # graph: the distinct kills found so far with the victims not yet
+        # tried and the killed keys seen, and the killed state's cut with
+        # one [helpers, child, child key] slot per rebuild (child unbuilt
+        # until first needed).
+        self.kill_cache: Dict[
+            FlowGraph, Tuple[List[Tuple[int, FlowGraph, str]], Iterator[int], Set[str]]
+        ] = {}
+        self.cand_cache: Dict[FlowGraph, Tuple[int, List[list]]] = {}
 
     def _probe(
         self, entry: Tuple[int, str, int], lo: float, hi: float
@@ -362,27 +386,32 @@ class _Searcher:
         self.table[entry] = (best, flag, line)
         return best, line
 
-    def _kills(self, g: FlowGraph) -> List[Tuple[int, FlowGraph, str]]:
-        hit = self.kill_cache.get(g)
-        if hit is None:
-            hit = []
-            seen = set()
-            for victim in sorted(g.live, reverse=True):  # newest first
-                killed = kill(g, victim)
-                kkey = canonical_key(killed)
-                if kkey in seen:
-                    continue
-                seen.add(kkey)
-                hit.append((victim, killed, kkey))
-            self.kill_cache[g] = hit
-        return hit
+    def _kills(self, g: FlowGraph) -> Iterator[Tuple[int, FlowGraph, str]]:
+        """Kills of g with distinct killed keys, newest victim first."""
+        state = self.kill_cache.get(g)
+        if state is None:
+            state = self.kill_cache[g] = ([], iter(sorted(g.live, reverse=True)), set())
+        found, victims, seen = state
+        i = 0
+        while True:
+            if i == len(found):
+                for victim in victims:
+                    killed = kill(g, victim)
+                    kkey = canonical_key(killed)
+                    if kkey not in seen:
+                        seen.add(kkey)
+                        found.append((victim, killed, kkey))
+                        break
+                else:
+                    return
+            yield found[i]
+            i += 1
 
-    def _candidates(self, g: FlowGraph) -> Tuple[int, List[Tuple[Tuple[int, ...], FlowGraph]]]:
+    def _candidates(self, g: FlowGraph) -> Tuple[int, List[list]]:
         hit = self.cand_cache.get(g)
         if hit is None:
             hit = collector_value(g), [
-                (helpers, rebuild(g, helpers, self.alpha, self.beta))
-                for helpers in combinations(sorted(g.live), self.r)
+                [helpers, None, None] for helpers in combinations(sorted(g.live), self.r)
             ]
             self.cand_cache[g] = hit
         return hit
@@ -434,13 +463,20 @@ class _Searcher:
         cv, candidates = self._candidates(g)
         best: float = -_INF
         best_line: Tuple[Move, ...] = ()
-        for helpers, child in candidates:
+        for slot in candidates:
+            helpers = slot[0]
             if cv <= max(lo, best):
                 # Below the window: every candidate is capped by cv, so
                 # report it as a fail-soft upper bound.
                 best, best_line = cv, (("rebuild", helpers),)
                 break
-            sub, line = self.search(child, rounds - 1, max(lo, best), hi)
+            if rounds == 1:
+                sub, line = _INF, ()  # no round left: the child is never looked at
+            else:
+                if slot[1] is None:
+                    child = rebuild(g, helpers, self.alpha, self.beta)
+                    slot[1:] = child, canonical_key(child)
+                sub, line = self.search(slot[1], rounds - 1, max(lo, best), hi, slot[2])
             value = min(cv, sub)
             if value > best:
                 best = value

@@ -303,6 +303,25 @@ def test_simulate_functional(tmp_path, capsys):
     assert "repairs: 10" in out
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # node 0 of example3 plus the sum of its rows
+        (["10000", "00100", "10100"], "node 0: 3 basis rows, expected 2"),
+        (["10000", "10000"], "node 0: basis rows are dependent"),
+    ],
+)
+def test_functional_node_with_wrong_rows_is_parse_error(tmp_path, capsys, command, rows, message):
+    path = write_code(tmp_path, capsys, "example3")
+    doc = json.loads(path.read_text())
+    doc["nodes"][0] = rows
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"parse error: {message}\n"
+
+
 def test_simulate_decodes_from_more_than_64_stored_symbols(tmp_path, capsys):
     # rbt-mbr n=11 decodes from k = 10 nodes of 10 symbols each
     path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "11")

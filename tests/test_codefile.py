@@ -98,6 +98,24 @@ def test_loads_rejects_bad_functional_initial_state():
     assert "spec" in str(err.value)
 
 
+# example3 stores 2 independent rows per node; each edit breaks node 0
+FUNCTIONAL_ROW_DEFECTS = [
+    (lambda rows: rows + ["10100"], "node 0: 3 basis rows, expected 2"),  # redundant
+    (lambda rows: rows + ["00001"], "node 0: 3 basis rows, expected 2"),  # independent
+    (lambda rows: rows[:1], "node 0: 1 basis rows, expected 2"),
+    (lambda rows: rows[:1] * 2, "node 0: basis rows are dependent"),
+]
+
+
+@pytest.mark.parametrize("edit, message", FUNCTIONAL_ROW_DEFECTS)
+def test_loads_rejects_functional_node_with_wrong_rows(edit, message):
+    doc = json.loads(codefile.dumps(codefile.from_named_code(example3())))
+    doc["nodes"][0] = edit(doc["nodes"][0])
+    with pytest.raises(codefile.CodeFileError) as err:
+        codefile.loads(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_load_missing_file():
     with pytest.raises(codefile.CodeFileError):
         codefile.load("/nonexistent/path.json")

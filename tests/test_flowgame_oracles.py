@@ -5,6 +5,7 @@ collector_value); a plain minimax with no table, no alpha-beta and no
 canonical keys checks minimax.  Every input is seeded.
 """
 
+import hashlib
 import random
 from itertools import combinations
 from typing import Dict, List, Tuple
@@ -169,6 +170,17 @@ def branch_on_all_key(g: FlowGraph) -> str:
 def test_twin_pruned_key_equals_branch_on_all(oracle_graphs):
     for g in oracle_graphs + [initial_graph(5, 1), kill(initial_graph(5, 2), 0)]:
         assert canonical_key(g) == branch_on_all_key(g), g
+
+
+# sha256 of the newline-joined keys of oracle_graphs, recorded before
+# canonical_key's overhead was trimmed: the key strings themselves, not
+# only the equivalence they induce, must stay the same.
+ORACLE_KEYS_SHA256 = "82cdac4fb1f69db7d4c065f50d80ea7f109f191147953b02c2ec26e25c1d5271"
+
+
+def test_canonical_key_strings_are_pinned(oracle_graphs):
+    keys = "\n".join(canonical_key(g) for g in oracle_graphs)
+    assert hashlib.sha256(keys.encode()).hexdigest() == ORACLE_KEYS_SHA256
 
 
 # ---------------------------------------------------------------------------
