@@ -118,8 +118,14 @@ def is_recovery_set(code: StorageCode, indices: Sequence[int]) -> bool:
 
 
 def recovery_dimension(code: StorageCode) -> int:
-    """Size of the smallest recovery set (searched by increasing size)."""
-    for size in range(1, code.n + 1):
+    """Size of the smallest recovery set (searched by increasing size).
+
+    The search starts at ceil(m / largest node dimension): no smaller
+    set of nodes can span the message space.
+    """
+    top = max((space.dim for space in code.subspaces), default=0)
+    lower = max(1, ceil(code.message_dim / top)) if top else code.n + 1
+    for size in range(lower, code.n + 1):
         for subset in combinations(range(code.n), size):
             if is_recovery_set(code, subset):
                 return size

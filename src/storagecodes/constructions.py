@@ -21,7 +21,7 @@ from .codes import (
     validate,
     validate_plan,
 )
-from .gf2 import BitMatrix, BitVector, Subspace, subspace_sum
+from .gf2 import BitMatrix, BitVector, Subspace, _rref_words
 
 MAX_RBT_NODES = 11  # C(n,2) must fit the 64-bit vector packing
 
@@ -263,13 +263,16 @@ def repetition_variants(n: int, r: int, alpha: Optional[int] = None) -> List[Nam
 
 
 def _trivial_meet(pair: Tuple[Subspace, ...]) -> bool:
-    # A and B meet only in 0 iff dim(A + B) = dim A + dim B.
+    # A and B meet only in 0 iff dim(A + B) = dim A + dim B, that is iff
+    # their bases together are independent.
     a, b = pair
-    return subspace_sum(pair).dim == a.dim + b.dim
+    rows = a.basis.words() + b.basis.words()
+    return len(_rref_words(rows)) == len(rows)
 
 
 def _spans(subset: Tuple[Subspace, ...]) -> bool:
-    return subspace_sum(subset).dim == subset[0].ambient_dim
+    rows = [w for space in subset for w in space.basis.words()]
+    return len(_rref_words(rows)) == subset[0].ambient_dim
 
 
 def example3_spec() -> FunctionalSpec:

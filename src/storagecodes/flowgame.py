@@ -513,6 +513,7 @@ def minimax(
     line: Tuple[Move, ...] = ()
     searcher = _Searcher(state.r, state.alpha, state.beta, memo_cap)
     capped = False
+    probed = 0  # depths whose probe completed above the target
 
     def exact_at_depth(depth: int, upper: int) -> Tuple[int, Tuple[Move, ...]]:
         # Descending null windows walk the value down from a known upper
@@ -533,6 +534,7 @@ def minimax(
             if target is not None:
                 probe, _ = searcher.search(state.graph, depth, target, target + 1)
                 if probe > target:
+                    probed = depth
                     continue  # lower bound above the target: deepen
                 value = min(value, int(probe))
             value, line = exact_at_depth(depth, value)
@@ -552,9 +554,13 @@ def minimax(
         except CapExceededError:
             capped = True
     if result is None:
-        raise CapExceededError(
-            f"memo cap {memo_cap} hit before any horizon completed"
-        )
+        # The cap was hit at depth: in the loop, or in the fallback at the horizon.
+        msg = f"memo cap {memo_cap} hit at depth {depth} before any horizon completed"
+        if probed == 1:
+            msg += f"; the probe at depth 1 stayed above the target {target}"
+        elif probed:
+            msg += f"; the probes at depths 1-{probed} stayed above the target {target}"
+        raise CapExceededError(msg)
     result.capped = capped
     return result
 

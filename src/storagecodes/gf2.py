@@ -131,14 +131,7 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         if self.row_count == 0:
             raise ValueError("cannot transpose a matrix with no rows")
-        words = []
-        for c in range(self.col_count):
-            w = 0
-            for i, row in enumerate(self._words):
-                if (row >> c) & 1:
-                    w |= 1 << i
-            words.append(w)
-        return BitMatrix.from_words(self.row_count, words)
+        return BitMatrix.from_words(self.row_count, _transpose_words(self._words, self.col_count))
 
     def mat_vec(self, x: BitVector) -> BitVector:
         """Matrix-vector product: one parity per row."""
@@ -156,6 +149,16 @@ class BitMatrix:
         if self.col_count != other.col_count:
             raise ValueError("column count mismatch")
         return BitMatrix(self._words + other._words, self.col_count)
+
+
+def _transpose_words(words: Sequence[int], width: int) -> List[int]:
+    """The columns of int rows of the given width, as int rows."""
+    columns = [0] * width
+    for i, row in enumerate(words):
+        for c in range(width):
+            if (row >> c) & 1:
+                columns[c] |= 1 << i
+    return columns
 
 
 def _reduce(basis: Sequence[int], word: int) -> int:
@@ -178,7 +181,9 @@ def _rref_words(words: Iterable[int]) -> List[int]:
     """
     rows: List[int] = []
     for w in words:
-        w = _reduce(rows, w)
+        for row in rows:  # _reduce, inlined: this is the hottest loop
+            if w & row & -row:
+                w ^= row
         if w:
             low = w & -w
             rows = [r ^ w if r & low else r for r in rows]
@@ -348,13 +353,7 @@ def gaussian_binomial(m: int, d: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(ambient_dim: int, dim: int, cap: Optional[int] = None) -> Iterator[Subspace]:
-    """Yield every dim-dimensional subspace of GF(2)^ambient_dim once.
-
-    The order is deterministic: pivot-column combinations in
-    lexicographic order, then the free entries in ascending binary
-    order.  Refuses to run when the count exceeds the cap.
-    """
+def _check_enumeration(ambient_dim: int, dim: int, cap: Optional[int]) -> None:
     if not 0 <= dim <= ambient_dim:
         raise ValueError("need 0 <= dim <= ambient_dim")
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
@@ -363,43 +362,60 @@ def enumerate_subspaces(ambient_dim: int, dim: int, cap: Optional[int] = None) -
         raise EnumerationCapError(
             f"{count} subspaces of dimension {dim} in GF(2)^{ambient_dim} exceeds cap {cap}"
         )
-    if dim == 0:
-        yield Subspace.zero(ambient_dim)
-        return
-    for pivots in combinations(range(ambient_dim), dim):
+
+
+def _subspace_words(basis: Sequence[int], dim: int) -> Iterator[Tuple[int, ...]]:
+    """The dim-dimensional subspaces of span(basis) as RREF word tuples.
+
+    basis must be in RREF.  Each subspace is enumerated by its RREF
+    coefficient basis over the rows of basis: pivot-column combinations
+    in lexicographic order, then the free entries in ascending binary
+    order.  The image of an RREF coefficient basis is again in RREF: row
+    j keeps the pivot of basis row q_j, and its bit at every other pivot
+    is a coefficient that RREF makes zero.
+    """
+    d = len(basis)
+    for pivots in combinations(range(d), dim):
         pivot_set = set(pivots)
+        # (row, basis word) per free entry, in coefficient-bit order
         cells = [
-            (i, c)
+            (i, basis[c])
             for i in range(dim)
-            for c in range(pivots[i] + 1, ambient_dim)
+            for c in range(pivots[i] + 1, d)
             if c not in pivot_set
         ]
+        heads = [basis[p] for p in pivots]
         for assignment in range(1 << len(cells)):
-            words = [1 << p for p in pivots]
-            for bit, (i, c) in enumerate(cells):
+            words = heads.copy()
+            for bit, (i, w) in enumerate(cells):
                 if (assignment >> bit) & 1:
-                    words[i] |= 1 << c
-            yield Subspace._canonical(ambient_dim, words)
+                    words[i] ^= w
+            yield tuple(words)
+
+
+def enumerate_subspaces(ambient_dim: int, dim: int, cap: Optional[int] = None) -> Iterator[Subspace]:
+    """Yield every dim-dimensional subspace of GF(2)^ambient_dim once.
+
+    The order is deterministic: pivot-column combinations in
+    lexicographic order, then the free entries in ascending binary
+    order.  Refuses to run when the count exceeds the cap.
+    """
+    _check_enumeration(ambient_dim, dim, cap)
+    units = [1 << i for i in range(ambient_dim)]
+    for words in _subspace_words(units, dim):
+        yield Subspace._canonical(ambient_dim, words)
 
 
 def subspaces_of(space: Subspace, dim: int, cap: Optional[int] = None) -> Iterator[Subspace]:
     """Yield every dim-dimensional subspace of the given subspace.
 
     Enumerates in the coefficient space of the canonical basis and maps
-    back, so the order is deterministic.  The image of an RREF
-    coefficient basis is again in RREF: row j keeps the pivot of basis
-    row q_j, and its bit at every other pivot is a coefficient that RREF
-    makes zero.
+    back, so the order is deterministic; it is enumerate_subspaces's
+    order on the coefficients.  Refuses to run when the count exceeds
+    the cap.
     """
     if dim > space.dim:
         return
-    basis = space.basis._words
-    for coeff in enumerate_subspaces(space.dim, dim, cap):
-        words = []
-        for row in coeff.basis._words:
-            w = 0
-            for i in range(space.dim):
-                if (row >> i) & 1:
-                    w ^= basis[i]
-            words.append(w)
+    _check_enumeration(space.dim, dim, cap)
+    for words in _subspace_words(space.basis._words, dim):
         yield Subspace._canonical(space.ambient_dim, words)

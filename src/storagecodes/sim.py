@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .codes import (
@@ -20,7 +21,17 @@ from .codes import (
     validate_plan,
 )
 from .constructions import FunctionalSpec
-from .gf2 import BitMatrix, BitVector, Subspace, _solve_words, solve, subspaces_of
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    Subspace,
+    _rref_words,
+    _solve_words,
+    _subspace_words,
+    _transpose_words,
+    _word_text,
+    solve,  # noqa: F401  unused here; perfbench's tracer test checks this binding
+)
 
 
 class SimulationError(RuntimeError):
@@ -85,7 +96,12 @@ class FunctionalRepair:
 
 @dataclass
 class SystemState:
-    """Per-node stored blocks plus the rule that repairs them."""
+    """Per-node stored blocks plus the rule that repairs them.
+
+    The counters tally the repairs made, the symbols their helpers sent,
+    and the distinct candidates functional repair checked against the
+    spec; they are kept out of the trace.
+    """
 
     message_dim: int
     bases: List[BitMatrix]
@@ -95,6 +111,9 @@ class SystemState:
     epoch: int = 0
     trace: List[TraceEvent] = field(default_factory=list)
     message: Optional[BitVector] = None  # verification only, not protocol data
+    repairs: int = 0
+    symbols_transferred: int = 0
+    spec_checks: int = 0
 
     @property
     def n(self) -> int:
@@ -187,9 +206,13 @@ def collect(state: SystemState, indices: Sequence[int]) -> Optional[BitVector]:
     return result
 
 
-def _coefficients(mat: BitMatrix, target: BitVector) -> BitVector:
-    """Express target as a combination of mat's rows (must be solvable)."""
-    combo = solve(mat.transpose(), target)
+def _coefficients(rows: Sequence[int], m: int, target: int) -> int:
+    """Express target as a combination of the rows (must be solvable).
+
+    rows and target have width m; bit i of the result is row i's
+    coefficient.  Solves the transposed system, one equation per column.
+    """
+    _, combo = _solve_words(_transpose_words(rows, m), len(rows), target)
     if combo is None:
         raise SimulationError("vector is not in the expected row span")
     return combo
@@ -199,27 +222,28 @@ def _store_repair(
     state: SystemState,
     kind: str,
     failed: int,
-    transfers: Dict[int, Sequence[BitVector]],
+    transfers: Dict[int, Sequence[int]],
     basis: BitMatrix,
     *fields: Tuple[str, str],
 ) -> None:
     """Rebuild, check, store and record the newcomer's block for basis.
 
-    transfers maps each helper to the vectors v it sends the symbol v . x
-    of, computed from its own stored block.  The newcomer expresses its
-    basis rows in the vectors, combines the symbols alike, and checks the
-    block against the out-of-band message.
+    transfers maps each helper to the vectors v (as words) it sends the
+    symbol v . x of, computed from its own stored block.  The newcomer
+    expresses its basis rows in the vectors, combines the symbols alike,
+    and checks the block against the out-of-band message.
     """
+    m = state.message_dim
     sent = [(h, v) for h, vectors in transfers.items() for v in vectors]
     symbols = 0
     for i, (h, v) in enumerate(sent):
-        if _coefficients(state.bases[h], v).dot(state.stored[h]):
+        combo = _coefficients(state.bases[h].words(), m, v)
+        if (combo & state.stored[h].word).bit_count() & 1:
             symbols |= 1 << i
-    sym_vec = BitVector(len(sent), symbols)
-    vmat = BitMatrix.from_words(state.message_dim, [v.word for _, v in sent])
+    vectors = [v for _, v in sent]
     block = 0
-    for i, row in enumerate(basis.rows):
-        if _coefficients(vmat, row).dot(sym_vec):
+    for i, row in enumerate(basis.words()):
+        if (_coefficients(vectors, m, row) & symbols).bit_count() & 1:
             block |= 1 << i
     restored = BitVector(basis.row_count, block)
 
@@ -231,6 +255,8 @@ def _store_repair(
     state.stored[failed] = restored
     state.live.add(failed)
     state.epoch += 1
+    state.repairs += 1
+    state.symbols_transferred += len(sent)
     state.record(
         kind,
         ("node", str(failed)),
@@ -255,7 +281,7 @@ def exact_repair(state: SystemState, plan: RepairPlan) -> None:
         raise SimulationError("invalid repair plan: " + "; ".join(problems))
 
     # Each helper sends its stored block projected on its repair-space basis.
-    transfers = {h: plan.repair_spaces[h].basis.rows for h in plan.helpers}
+    transfers = {h: plan.repair_spaces[h].basis.words() for h in plan.helpers}
     spaces = ";".join(f"{h}:{_space_text(plan.repair_spaces[h])}" for h in plan.helpers)
     _store_repair(
         state, "repair-exact", plan.failed, transfers, code.node_bases[plan.failed],
@@ -272,65 +298,58 @@ def functional_repair(state: SystemState, failed: int) -> None:
     in lexicographic order of their textual encodings and candidate
     subspaces in canonical enumeration order; the first combination
     satisfying the specification wins, making repairs replayable.
+
+    The search runs on int words.  Within one repair the survivors are
+    fixed, so a verdict depends on the candidate alone, and whether a
+    span holds an admitted candidate on the span alone; both are
+    memoised, since different picks often span the same space.  The
+    first span that holds one ends the search.
     """
     if not isinstance(state.rule, FunctionalRepair):
         raise SimulationError("functional_repair requires a functional-repair state")
     if failed in state.live:
         raise SimulationError(f"node {failed} is still live; fail it first")
     spec = state.rule.spec
+    m = state.message_dim
     survivors = sorted(state.live)
     if len(survivors) != spec.node_count - 1:
         raise SimulationError("exactly one node may be failed at a time")
-    spaces = {i: Subspace.from_matrix(state.bases[i]) for i in survivors}
-    survivor_spaces = [spaces[i] for i in survivors]
+    survivor_spaces = [Subspace.from_matrix(state.bases[i]) for i in survivors]
     # This check is the precondition of spec.admits below.
     if spec.violations(survivor_spaces):
         raise SimulationError("survivors no longer satisfy the specification")
 
-    survivor_vectors = {
-        i: sorted(
-            (v for v in spaces[i].vectors() if not v.is_zero()),
-            key=lambda v: v.to_string(),
-        )
-        for i in survivors
-    }
+    survivor_vectors = [
+        sorted((v.word for v in space.vectors() if v.word), key=lambda w: _word_text(w, m))
+        for space in survivor_spaces
+    ]
 
-    # The survivors are fixed, so a verdict depends on the candidate alone;
-    # different picks often span the same candidates.
-    verdicts: Dict[Subspace, bool] = {}
+    verdicts: Dict[Tuple[int, ...], bool] = {}
 
-    def admits(cand: Subspace) -> bool:
+    def admitted(cand: Tuple[int, ...]) -> bool:
         if cand not in verdicts:
-            verdicts[cand] = spec.admits(survivor_spaces, cand)
+            verdicts[cand] = spec.admits(survivor_spaces, Subspace._canonical(m, cand))
+            state.spec_checks += 1
         return verdicts[cand]
 
-    def choose(
-        depth: int, picked: Dict[int, BitVector]
-    ) -> Optional[Tuple[Dict[int, BitVector], Subspace]]:
-        if depth == len(survivors):
-            span = Subspace.spanned_by(state.message_dim, picked.values())
-            for cand in subspaces_of(span, spec.node_dim):
-                if admits(cand):
-                    return dict(picked), cand
-            return None
-        i = survivors[depth]
-        for v in survivor_vectors[i]:
-            picked[i] = v
-            hit = choose(depth + 1, picked)
-            if hit:
-                return hit
-            del picked[i]
-        return None
-
-    hit = choose(0, {})
-    if hit is None:
+    dead: Set[Tuple[int, ...]] = set()  # spans with no admitted candidate
+    for picked in product(*survivor_vectors):
+        span = tuple(_rref_words(picked))
+        if span in dead:
+            continue
+        new_words = next(filter(admitted, _subspace_words(span, spec.node_dim)), None)
+        if new_words is not None:
+            break
+        dead.add(span)
+    else:
         raise StuckError(f"no spec-satisfying replacement exists for node {failed}")
-    picked, new_space = hit
+    new_space = Subspace._canonical(m, new_words)
 
     # Downloads: one symbol a_i . x per survivor.
     _store_repair(
-        state, "repair-functional", failed, {i: [picked[i]] for i in survivors}, new_space.basis,
-        ("vectors", ";".join(f"{i}:{picked[i].to_string()}" for i in survivors)),
+        state, "repair-functional", failed,
+        {i: [v] for i, v in zip(survivors, picked)}, new_space.basis,
+        ("vectors", ";".join(f"{i}:{_word_text(v, m)}" for i, v in zip(survivors, picked))),
         ("new_basis", _space_text(new_space)),
     )
 

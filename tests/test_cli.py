@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line frontend and its exit codes."""
 
 import argparse
+import hashlib
 import json
 import random
 
@@ -303,6 +304,18 @@ def test_simulate_functional(tmp_path, capsys):
     assert "repairs: 10" in out
 
 
+def test_simulate_functional_output_is_pinned(tmp_path, capsys):
+    # The digest the CI smoke step checks on the installed console script.
+    path = write_code(tmp_path, capsys, "example3")
+    code, out, err = run(
+        capsys, "--seed", "0", "--rounds", "200", "--format", "record-stream", "simulate", str(path)
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2458d42b5ffa011c5ab69c4bcc290c40a21f463645ad32992c884809ec3dc0bc"
+    )
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize(
     "rows, message",
@@ -521,6 +534,19 @@ def test_game_cap_exceeded(capsys, monkeypatch):
     )
     assert code == EXIT_CAP
     assert "cap exceeded" in err
+
+
+def test_game_cap_exceeded_after_probes_names_them(capsys, monkeypatch):
+    monkeypatch.setenv("STORAGECODE_CAP", "100")
+    code, out, err = run(
+        capsys, "game", "--case", "r2", "--n", "7", "--r", "2", "--alpha", "2", "--beta", "1"
+    )
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == (
+        "cap exceeded before the bound was certified: memo cap 100 hit at depth 4 before any "
+        "horizon completed; the probes at depths 1-3 stayed above the target 7\n"
+    )
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])

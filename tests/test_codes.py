@@ -22,7 +22,13 @@ from storagecodes.codes import (
     validate,
     validate_plan,
 )
-from storagecodes.constructions import example1, rbt_mbr, repetition_code, single_parity
+from storagecodes.constructions import (
+    example1,
+    example3,
+    rbt_mbr,
+    repetition_code,
+    single_parity,
+)
 from storagecodes.gf2 import BitMatrix, BitVector, Subspace, subspace_sum, subspaces_of
 
 
@@ -115,6 +121,32 @@ def test_recovery_dimension_brute_force_random():
             if any(is_recovery_set(code, s) for s in combinations(range(n), size))
         ]
         assert recovery_dimension(code) == min(sizes)
+
+
+def _smallest_recovery_set(code):
+    for size in range(1, code.n + 1):
+        if any(is_recovery_set(code, s) for s in combinations(range(code.n), size)):
+            return size
+
+
+REGISTRY_CODES = [
+    example1,
+    *(partial(rbt_mbr, n) for n in range(3, 9)),
+    *(partial(single_parity, r) for r in range(1, 6)),
+    partial(repetition_code, 6, 2),
+    partial(repetition_code, 6, 2, variant="copy"),
+    partial(repetition_code, 6, 2, 4, "copy"),
+    partial(repetition_code, 8, 3, 6),
+    example3,
+]
+
+
+@pytest.mark.parametrize("build", REGISTRY_CODES)
+def test_recovery_dimension_equals_search_from_size_one(build):
+    # recovery_dimension starts at ceil(m / largest node dim); the plain
+    # search starts at 1
+    code = build().code
+    assert recovery_dimension(code) == _smallest_recovery_set(code)
 
 
 def test_rate_and_overhead():

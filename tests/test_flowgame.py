@@ -287,6 +287,33 @@ def test_minimax_memo_cap_stops_at_a_pinned_depth(cap, expected):
     assert (got.value, got.horizon, got.capped) == expected
 
 
+# (case, horizon, memo_cap) -> the CapExceededError message
+CAP_MESSAGES = {
+    (("r2", 7, 2, 2, 1), 14, 100): (
+        "memo cap 100 hit at depth 4 before any horizon completed; "
+        "the probes at depths 1-3 stayed above the target 7"
+    ),
+    (("r2", 5, 2, 2, 1), 10, 5): (
+        "memo cap 5 hit at depth 2 before any horizon completed; "
+        "the probe at depth 1 stayed above the target 5"
+    ),
+    # every probe up to the horizon stayed above the target, then the
+    # exact evaluation at the horizon hit the cap
+    (("r2", 5, 2, 2, 1), 1, 2): (
+        "memo cap 2 hit at depth 1 before any horizon completed; "
+        "the probe at depth 1 stayed above the target 5"
+    ),
+    (("r2", 5, 2, 2, 1), 10, 1): "memo cap 1 hit at depth 1 before any horizon completed",
+}
+
+
+@pytest.mark.parametrize("case, horizon, cap", sorted(CAP_MESSAGES))
+def test_cap_message_names_the_depth_and_the_probes_above_the_target(case, horizon, cap):
+    with pytest.raises(CapExceededError) as info:
+        verify_theorem(*case, horizon, memo_cap=cap)
+    assert str(info.value) == CAP_MESSAGES[case, horizon, cap]
+
+
 def test_minimax_target_certifies_early():
     got = minimax(make_game(4, 2, 1, 1), 8, target=2)
     assert got.value == 2

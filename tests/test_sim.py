@@ -5,6 +5,7 @@ import random
 import pytest
 
 from storagecodes.constructions import (
+    FunctionalSpec,
     example1,
     example3_initial_bases,
     example3_spec,
@@ -210,6 +211,54 @@ def test_functional_repair_requires_single_failure():
     state.live.discard(1)
     with pytest.raises(SimulationError):
         functional_repair(state, 0)
+
+
+def _trace_counts(state):
+    events = [ev for ev in state.trace if ev.kind.startswith("repair")]
+    return len(events), sum(int(dict(ev.payload)["symbols_transferred"]) for ev in events)
+
+
+def test_functional_counters_equal_trace_values(monkeypatch):
+    checked = []
+    original = FunctionalSpec.admits
+
+    def admits(self, others, new):
+        checked.append(tuple(new.basis.words()))
+        return original(self, others, new)
+
+    monkeypatch.setattr(FunctionalSpec, "admits", admits)
+    state, spec, x = fresh_functional()
+    rng = random.Random(4)
+    for _ in range(60):
+        victim = rng.randrange(4)
+        start = len(checked)
+        fail(state, victim)
+        functional_repair(state, victim)
+        # a spec check is a candidate not yet checked in this repair
+        assert len(set(checked[start:])) == len(checked) - start
+    assert (state.repairs, state.symbols_transferred) == _trace_counts(state) == (60, 180)
+    assert state.spec_checks == len(checked) > 0
+
+
+def test_functional_spec_checks_are_pinned():
+    # The benchmark marathon's inputs at seed 0.  28 603 distinct
+    # candidates go to spec.admits; skipping spans already searched must
+    # not change that.
+    spec = example3_spec()
+    rng = random.Random(0)
+    x = BitVector(5, 1 + rng.randrange(31))
+    state = encode_functional(spec, example3_initial_bases(), x)
+    for victim in [rng.randrange(4) for _ in range(1000)]:
+        fail(state, victim)
+        functional_repair(state, victim)
+    assert (state.repairs, state.symbols_transferred, state.spec_checks) == (1000, 3000, 28603)
+
+
+def test_exact_counters_equal_trace_values():
+    state, named, x = fresh_exact()
+    run_scenario(state, random_failure_script(4, 25, 2))
+    assert (state.repairs, state.symbols_transferred) == _trace_counts(state) == (25, 75)
+    assert state.spec_checks == 0
 
 
 def test_stuck_error_is_simulation_error():

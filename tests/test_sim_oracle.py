@@ -1,0 +1,160 @@
+"""Slow oracle for functional repair: its docstring taken literally.
+
+The reference tries the survivors' nonzero vectors, each survivor's
+sorted by text, in `itertools.product` order; takes the candidates of
+each span from the public `subspaces_of` on Subspace objects; and checks
+the whole assignment with `spec.satisfied`.  It keeps no memo and no
+int words, so it shares none of the fast path's shortcuts.
+"""
+
+import random
+from itertools import combinations, product
+
+import pytest
+
+from storagecodes.constructions import (
+    FunctionalSpec,
+    _spans,
+    _trivial_meet,
+    example3_initial_bases,
+    example3_spec,
+)
+from storagecodes.gf2 import BitMatrix, BitVector, Subspace, enumerate_subspaces, subspaces_of
+from storagecodes.sim import StuckError, encode_functional, fail, functional_repair
+
+
+def reference_repair(state, failed):
+    """The survivors' picks and the new space the docstring's search picks."""
+    spec = state.rule.spec
+    survivors = sorted(state.live)
+    spaces = [Subspace.from_matrix(b) for b in state.bases]
+    vectors = [
+        sorted((v for v in spaces[i].vectors() if not v.is_zero()), key=BitVector.to_string)
+        for i in survivors
+    ]
+    for picks in product(*vectors):
+        span = Subspace.spanned_by(state.message_dim, picks)
+        for cand in subspaces_of(span, spec.node_dim):
+            if spec.satisfied(spaces[:failed] + [cand] + spaces[failed + 1:]):
+                return picks, cand
+    raise StuckError(f"no replacement for node {failed}")
+
+
+def reference_record(state, failed, picks, cand):
+    survivors = sorted(state.live)
+    vectors = ";".join(f"{i}:{v.to_string()}" for i, v in zip(survivors, picks))
+    return (
+        f"epoch={state.epoch + 1} kind=repair-functional node={failed} "
+        f"helpers={','.join(map(str, survivors))} symbols_transferred={len(survivors)} "
+        f"vectors={vectors} new_basis={'+'.join(cand.basis.to_strings())}"
+    )
+
+
+def check_rounds(spec, bases, seed, rounds):
+    """Compare functional_repair with the reference over seeded rounds."""
+    rng = random.Random(seed)
+    x = BitVector(spec.ambient_dim, rng.randrange(1 << spec.ambient_dim))
+    state = encode_functional(spec, bases, x)
+    for _ in range(rounds):
+        victim = rng.randrange(spec.node_count)
+        fail(state, victim)
+        picks, cand = reference_repair(state, victim)
+        expected = reference_record(state, victim, picks, cand)
+        functional_repair(state, victim)
+        assert state.trace[-1].to_record() == expected
+        assert Subspace.from_matrix(state.bases[victim]) == cand
+        assert state.bases[victim].to_strings() == cand.basis.to_strings()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_functional_repair_matches_reference_on_example3(seed):
+    check_rounds(example3_spec(), example3_initial_bases(), seed, 110)
+
+
+def _avoids_e0(single):
+    return not single[0].contains(BitVector(single[0].ambient_dim, 1))
+
+
+# m=4 with a rule on single spaces beside pairwise trivial meets.
+SPEC_M4 = FunctionalSpec(
+    name="m4-avoid-e0",
+    ambient_dim=4,
+    node_count=4,
+    node_dim=2,
+    beta=1,
+    rules=(
+        ("no storage space contains e0", 1, _avoids_e0),
+        ("any two storage spaces intersect trivially", 2, _trivial_meet),
+    ),
+)
+SPEC_M4_BASES = [
+    BitMatrix.from_strings(rows)
+    for rows in (["1010", "0111"], ["1110", "0001"], ["1001", "0010"], ["0101", "0011"])
+]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_functional_repair_matches_reference_on_second_spec(seed):
+    check_rounds(SPEC_M4, SPEC_M4_BASES, seed, 80)
+
+
+# Three nodes, 2-dim spaces in GF(2)^4 that meet pairwise trivially.  A
+# newcomer's space is spanned by one vector from each survivor, so it
+# meets both survivors and no repair exists.
+SPEC_STUCK = FunctionalSpec(
+    name="stuck",
+    ambient_dim=4,
+    node_count=3,
+    node_dim=2,
+    beta=1,
+    rules=(("any two storage spaces intersect trivially", 2, _trivial_meet),),
+)
+SPEC_STUCK_BASES = [
+    BitMatrix.from_strings(rows) for rows in (["1000", "0100"], ["0010", "0001"], ["1010", "0101"])
+]
+
+
+@pytest.mark.parametrize("victim", [0, 1, 2])
+def test_both_searches_get_stuck_together(victim):
+    state = encode_functional(SPEC_STUCK, SPEC_STUCK_BASES, BitVector(4, 0b1101))
+    fail(state, victim)
+    with pytest.raises(StuckError):
+        reference_repair(state, victim)
+    with pytest.raises(StuckError):
+        functional_repair(state, victim)
+    assert len(state.trace) == 2  # encode and fail; nothing stored
+    assert state.repairs == 0
+
+
+def _vectors(space):
+    return {v.word for v in space.vectors()}
+
+
+def _all_subspaces(m):
+    return [s for d in range(m + 1) for s in enumerate_subspaces(m, d)]
+
+
+def _sums(subset):
+    words = {0}
+    for space in subset:
+        words = {w ^ v for w in words for v in _vectors(space)}
+    return words
+
+
+def test_rank_rules_match_vector_counts():
+    # A and B meet trivially iff their 2^a * 2^b pairwise sums are distinct;
+    # a subset spans iff its sums reach all 2^m vectors.
+    for m in range(1, 5):
+        spaces = _all_subspaces(m)
+        for pair in combinations(spaces, 2):
+            a, b = pair
+            assert _trivial_meet(pair) == (len(_sums(pair)) == len(_vectors(a)) * len(_vectors(b)))
+            assert _spans(pair) == (len(_sums(pair)) == 1 << m)
+    for m in range(1, 4):
+        for triple in combinations(_all_subspaces(m), 3):
+            assert _spans(triple) == (len(_sums(triple)) == 1 << m)
+    rng = random.Random(3)
+    spaces = _all_subspaces(5)
+    for _ in range(2000):
+        triple = tuple(rng.sample(spaces, 3))
+        assert _spans(triple) == (len(_sums(triple)) == 1 << 5)
