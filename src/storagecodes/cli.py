@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from . import bounds, codefile, flowgame
-from .codes import CodeError, rate_and_overhead, recovery_dimension, repair_locality, validate_plan
+from .codes import rate_and_overhead, recovery_dimension, repair_locality, validate_plan
 from .constructions import named_codes
 from .gf2 import BitVector, EnumerationCapError
 from .sim import (
@@ -123,7 +123,7 @@ def cmd_construct(args) -> int:
     params = inspect.signature(build).parameters
     try:
         cf = codefile.from_named_code(build(**{p: getattr(args, p) for p in params}))
-    except (CodeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # CodeError is a ValueError
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
     text = codefile.dumps(cf)

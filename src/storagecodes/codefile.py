@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .codes import CodeParams, RepairPlan, StorageCode, validate
+from .codes import CodeError, CodeParams, RepairPlan, StorageCode, validate
 from .constructions import FunctionalSpec, NamedCode, named_codes
 from .gf2 import BitMatrix, Subspace
 
@@ -113,16 +113,10 @@ def loads(text: str) -> CodeFile:
     if spec is not None:
         if code.n != spec.node_count:
             raise CodeFileError(f"functional file needs {spec.node_count} node bases")
-        for i, (mat, space) in enumerate(zip(code.node_bases, code.subspaces)):
-            if mat.row_count != spec.node_dim:
-                raise CodeFileError(
-                    f"node {i}: {mat.row_count} basis rows, expected {spec.node_dim}"
-                )
-            if space.dim != mat.row_count:
-                raise CodeFileError(f"node {i}: basis rows are dependent")
-        problems = spec.violations(code.subspaces)
-        if problems:
-            raise CodeFileError("initial state violates the spec: " + "; ".join(problems))
+        try:
+            spec.check_bases(code.node_bases)
+        except CodeError as exc:
+            raise CodeFileError(str(exc)) from exc
         return CodeFile(name, code, spec=spec)
 
     for key in ("m", "n", "alpha"):

@@ -17,7 +17,6 @@ from .codes import (
     StorageCode,
     permute_plan,
     recovery_dimension,
-    repair_locality,
     validate,
     validate_plan,
 )
@@ -69,6 +68,23 @@ class FunctionalSpec:
                 out.append(name)
         return out
 
+    def check_bases(self, bases: Sequence[BitMatrix]) -> None:
+        """Raise CodeError unless bases are an initial state the spec admits.
+
+        Each node needs node_dim independent basis rows.
+        """
+        if len(bases) != self.node_count:
+            raise CodeError(f"{self.node_count} node bases needed, got {len(bases)}")
+        spaces = [Subspace.from_matrix(mat) for mat in bases]
+        for i, (mat, space) in enumerate(zip(bases, spaces)):
+            if mat.row_count != self.node_dim:
+                raise CodeError(f"node {i}: {mat.row_count} basis rows, expected {self.node_dim}")
+            if space.dim != mat.row_count:
+                raise CodeError(f"node {i}: basis rows are dependent")
+        problems = self.violations(spaces)
+        if problems:
+            raise CodeError("initial state violates the spec: " + "; ".join(problems))
+
     def satisfied(self, spaces: Sequence[Subspace]) -> bool:
         return not self.violations(spaces)
 
@@ -88,7 +104,13 @@ class FunctionalSpec:
         )
 
 
-def _verify(named: NamedCode, check_locality: bool = True) -> NamedCode:
+def _verify(named: NamedCode) -> NamedCode:
+    """Check a built code against its declared profile.
+
+    A functional code's initial bases must satisfy its spec.  An exact
+    code needs a valid plan for every node, each with at most r helpers
+    sending beta symbols, so its repair locality is at most r.
+    """
     problems = validate(named.code)
     if problems:
         raise CodeError(f"{named.name}: " + "; ".join(problems))
@@ -97,21 +119,20 @@ def _verify(named: NamedCode, check_locality: bool = True) -> NamedCode:
         raise CodeError(f"{named.name}: declared (m, n, alpha) do not match the code")
     if recovery_dimension(named.code) != p.k:
         raise CodeError(f"{named.name}: declared k does not match the code")
-    if named.repair_plans:
-        for failed, plan in named.repair_plans.items():
-            errs = validate_plan(named.code, plan)
-            if errs:
-                raise CodeError(f"{named.name}: plan for node {failed}: " + "; ".join(errs))
-            if len(plan.helpers) > p.r:
-                raise CodeError(f"{named.name}: plan for node {failed} uses more than r helpers")
     if named.spec is not None:
-        problems = named.spec.violations(named.code.subspaces)
-        if problems:
-            raise CodeError(f"{named.name}: " + "; ".join(problems))
-    if check_locality:
-        found = repair_locality(named.code, p.beta)
-        if found is None or found > p.r:
-            raise CodeError(f"{named.name}: repair locality {found} exceeds declared r = {p.r}")
+        named.spec.check_bases(named.code.node_bases)
+        return named
+    for failed in range(p.n):
+        plan = (named.repair_plans or {}).get(failed)
+        if plan is None or plan.failed != failed:
+            raise CodeError(f"{named.name}: no repair plan for node {failed}")
+        errs = validate_plan(named.code, plan)
+        if len(plan.helpers) > p.r:
+            errs.append(f"more than r = {p.r} helpers")
+        if plan.beta != p.beta:
+            errs.append(f"beta {plan.beta} != declared beta {p.beta}")
+        if errs:
+            raise CodeError(f"{named.name}: plan for node {failed}: " + "; ".join(errs))
     return named
 
 
@@ -181,9 +202,7 @@ def rbt_mbr(n: int) -> NamedCode:
         }
         plans[failed] = RepairPlan(failed, helpers, spaces, 1)
     named = NamedCode(f"rbt-mbr-n{n}", code, CodeParams(m, n, n - 1, n - 1, n - 1, 1), plans)
-    # Locality is pinned without search: each plan has n-1 helpers and
-    # beta=1 against alpha = n-1, so no smaller repair set can exist.
-    return _verify(named, check_locality=False)
+    return _verify(named)
 
 
 def single_parity(r: int) -> NamedCode:
@@ -205,7 +224,7 @@ def single_parity(r: int) -> NamedCode:
         spaces = {j: code.subspaces[j] for j in helpers}
         plans[failed] = RepairPlan(failed, helpers, spaces, 1)
     named = NamedCode(f"parity-r{r}", code, CodeParams(r, n, r, r, 1, 1), plans)
-    return _verify(named, check_locality=(r <= 4))
+    return _verify(named)
 
 
 def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = "split") -> NamedCode:
@@ -216,6 +235,8 @@ def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = 
     whole block (beta = alpha) from a single peer.  Both carry the
     structural declared r; the copy variant's plans use one helper.
     """
+    if r < 1:
+        raise CodeError("repetition_code needs r >= 1")
     if n % (r + 1) != 0:
         raise CodeError(f"r+1 = {r + 1} must divide n = {n}")
     if variant not in ("split", "copy"):
@@ -249,7 +270,7 @@ def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = 
             plans[failed] = RepairPlan(failed, (helper,), {helper: code.subspaces[helper]}, beta)
     params = CodeParams(m, n, groups, r, alpha, beta)
     named = NamedCode(f"repetition-n{n}-r{r}-a{alpha}-{variant}", code, params, plans)
-    return _verify(named, check_locality=False)
+    return _verify(named)
 
 
 def repetition_variants(n: int, r: int, alpha: Optional[int] = None) -> List[NamedCode]:
@@ -308,12 +329,11 @@ def example3() -> NamedCode:
     """The example-3 functional-repair code from its initial assignment.
 
     Any three nodes decode (k = 3) and a newcomer downloads one symbol
-    from each of the three survivors.  The locality search is skipped:
-    it tests exact repair, which this code does not promise.
+    from each of the three survivors.
     """
     code = StorageCode(5, 2, example3_initial_bases())
     named = NamedCode("example3", code, CodeParams(5, 4, 3, 3, 2, 1), spec=example3_spec())
-    return _verify(named, check_locality=False)
+    return _verify(named)
 
 
 def named_codes() -> Dict[str, Callable[..., NamedCode]]:

@@ -131,7 +131,12 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         if self.row_count == 0:
             raise ValueError("cannot transpose a matrix with no rows")
-        return BitMatrix.from_words(self.row_count, _transpose_words(self._words, self.col_count))
+        columns = [0] * self.col_count
+        for i, row in enumerate(self._words):
+            for c in range(self.col_count):
+                if (row >> c) & 1:
+                    columns[c] |= 1 << i
+        return BitMatrix.from_words(self.row_count, columns)
 
     def mat_vec(self, x: BitVector) -> BitVector:
         """Matrix-vector product: one parity per row."""
@@ -149,16 +154,6 @@ class BitMatrix:
         if self.col_count != other.col_count:
             raise ValueError("column count mismatch")
         return BitMatrix(self._words + other._words, self.col_count)
-
-
-def _transpose_words(words: Sequence[int], width: int) -> List[int]:
-    """The columns of int rows of the given width, as int rows."""
-    columns = [0] * width
-    for i, row in enumerate(words):
-        for c in range(width):
-            if (row >> c) & 1:
-                columns[c] |= 1 << i
-    return columns
 
 
 def _reduce(basis: Sequence[int], word: int) -> int:
@@ -211,21 +206,20 @@ def solve(mat: BitMatrix, rhs: BitVector) -> Optional[BitVector]:
     """
     if rhs.length != max(mat.row_count, 1):
         raise ValueError("rhs length must equal the row count")
-    _, x = _solve_words(mat._words, mat.col_count, rhs.word)
-    return None if x is None else BitVector(mat.col_count, x)
+    m = mat.col_count
+    aug = [w | (((rhs.word >> i) & 1) << m) for i, w in enumerate(mat._words)]
+    _, x = _solve_words(aug, m)
+    return None if x is None else BitVector(m, x)
 
 
-def _solve_words(words: Sequence[int], m: int, rhs: int) -> Tuple[int, Optional[int]]:
-    """solve on int rows of width m; bit i of rhs belongs to row i.
+def _solve_words(aug: Iterable[int], m: int) -> Tuple[int, Optional[int]]:
+    """solve on augmented rows [a | b]: a in bits 0..m-1, b in bit m.
 
-    Returns the rank of the rows and a solution, or None in its place if
-    the system is inconsistent.  The right-hand side may be longer than
-    a BitVector allows.
+    Returns the rank of the a parts and a solution, or None in its place
+    if the system is inconsistent.
     """
-    # Eliminate on the augmented rows [A | b]; a pivot in column m is a
-    # row 0 = 1, so the system is inconsistent.  Every other row has its
-    # pivot below m and counts towards the rank of A.
-    aug = [w | (((rhs >> i) & 1) << m) for i, w in enumerate(words)]
+    # A pivot in column m is a row 0 = 1, so the system is inconsistent.
+    # Every other row has its pivot below m and counts towards the rank.
     reduced = _rref_words(aug)
     if reduced and reduced[-1] == 1 << m:
         return len(reduced) - 1, None

@@ -25,10 +25,10 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
+    _reduce,
     _rref_words,
     _solve_words,
     _subspace_words,
-    _transpose_words,
     _word_text,
     solve,  # noqa: F401  unused here; perfbench's tracer test checks this binding
 )
@@ -159,11 +159,7 @@ def encode_functional(
     spec: FunctionalSpec, bases: Sequence[BitMatrix], x: BitVector
 ) -> SystemState:
     """Functional-mode bootstrap from an initial spec-satisfying assignment."""
-    if len(bases) != spec.node_count:
-        raise CodeError("wrong number of initial node bases")
-    problems = spec.violations([Subspace.from_matrix(b) for b in bases])
-    if problems:
-        raise CodeError("initial state violates the specification: " + "; ".join(problems))
+    spec.check_bases(bases)
     return _bootstrap(spec.ambient_dim, bases, x, FunctionalRepair(spec))
 
 
@@ -176,22 +172,33 @@ def fail(state: SystemState, node: int) -> None:
     state.record("fail", ("node", str(node)))
 
 
+def _symbol_rows(state: SystemState, node: int) -> List[int]:
+    """A node's stored symbols as rows u | s << m, where s = u . x.
+
+    Reducing a vector v of the rows' span by their RREF clears bits
+    0..m-1 and leaves the symbol v . x in bit m.
+    """
+    m = state.message_dim
+    block = state.stored[node].word
+    return [u | ((block >> i) & 1) << m for i, u in enumerate(state.bases[node].words())]
+
+
+def _symbol(reduced: Sequence[int], v: int, m: int) -> int:
+    """The symbol v . x, from symbol rows in RREF whose span holds v."""
+    w = _reduce(reduced, v)
+    if w & ((1 << m) - 1):
+        raise SimulationError("vector is not in the expected row span")
+    return w >> m
+
+
 def collect(state: SystemState, indices: Sequence[int]) -> Optional[BitVector]:
     """Decode the message from a set of live nodes, or None if undecodable."""
     idx = sorted(set(indices))
     for i in idx:
         if i not in state.live:
             raise SimulationError(f"cannot collect from non-live node {i}")
-    stacked = state.bases[idx[0]]
-    for i in idx[1:]:
-        stacked = stacked.stack(state.bases[i])
-    # The stacked right-hand side may exceed one BitVector's 64 bits.
-    rhs_word = 0
-    pos = 0
-    for i in idx:
-        rhs_word |= state.stored[i].word << pos
-        pos += state.bases[i].row_count
-    rank, x = _solve_words(stacked.words(), state.message_dim, rhs_word)
+    rows = [row for i in idx for row in _symbol_rows(state, i)]
+    rank, x = _solve_words(rows, state.message_dim)
     ok = rank == state.message_dim
     result: Optional[BitVector] = None
     if ok:
@@ -206,18 +213,6 @@ def collect(state: SystemState, indices: Sequence[int]) -> Optional[BitVector]:
     return result
 
 
-def _coefficients(rows: Sequence[int], m: int, target: int) -> int:
-    """Express target as a combination of the rows (must be solvable).
-
-    rows and target have width m; bit i of the result is row i's
-    coefficient.  Solves the transposed system, one equation per column.
-    """
-    _, combo = _solve_words(_transpose_words(rows, m), len(rows), target)
-    if combo is None:
-        raise SimulationError("vector is not in the expected row span")
-    return combo
-
-
 def _store_repair(
     state: SystemState,
     kind: str,
@@ -229,22 +224,17 @@ def _store_repair(
     """Rebuild, check, store and record the newcomer's block for basis.
 
     transfers maps each helper to the vectors v (as words) it sends the
-    symbol v . x of, computed from its own stored block.  The newcomer
-    expresses its basis rows in the vectors, combines the symbols alike,
-    and checks the block against the out-of-band message.
+    symbol v . x of; both the helper's symbols and the newcomer's block
+    come from reducing by symbol rows (see _symbol_rows).  The newcomer
+    checks its block against the out-of-band message.
     """
     m = state.message_dim
     sent = [(h, v) for h, vectors in transfers.items() for v in vectors]
-    symbols = 0
-    for i, (h, v) in enumerate(sent):
-        combo = _coefficients(state.bases[h].words(), m, v)
-        if (combo & state.stored[h].word).bit_count() & 1:
-            symbols |= 1 << i
-    vectors = [v for _, v in sent]
+    held = {h: _rref_words(_symbol_rows(state, h)) for h in transfers}
+    received = _rref_words(v | _symbol(held[h], v, m) << m for h, v in sent)
     block = 0
     for i, row in enumerate(basis.words()):
-        if (_coefficients(vectors, m, row) & symbols).bit_count() & 1:
-            block |= 1 << i
+        block |= _symbol(received, row, m) << i
     restored = BitVector(basis.row_count, block)
 
     assert state.message is not None

@@ -74,6 +74,20 @@ def test_construct_bad_parameters(capsys):
     assert "bad parameters" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parity", "--r", "70"],  # m = 70 exceeds the 64-bit vector packing
+        ["repetition", "--n", "130", "--r", "1", "--alpha", "1"],  # m = 65
+        ["repetition", "--n", "6", "--r", "0"],
+    ],
+)
+def test_construct_out_of_range_parameters_are_one_line(capsys, argv):
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("bad parameters: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # validate
 

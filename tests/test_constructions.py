@@ -1,5 +1,6 @@
 """Tests for the named code families and the functional specification."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 from storagecodes.bounds import cutset_bound, mbr_point
 from storagecodes.codes import (
     CodeError,
+    RepairPlan,
     rate_and_overhead,
     recovery_dimension,
     repair_locality,
@@ -17,6 +19,7 @@ from storagecodes.codes import (
 )
 from storagecodes.constructions import (
     _trivial_meet,
+    _verify,
     example1,
     example3_initial_bases,
     example3_spec,
@@ -289,6 +292,57 @@ def test_functional_spec_flags_wrong_dimension():
 
 # ---------------------------------------------------------------------------
 # registry
+
+
+SMALL_REGISTRY = [
+    example1,
+    *(lambda n=n: rbt_mbr(n) for n in (3, 4, 5)),
+    *(lambda r=r: single_parity(r) for r in (1, 2, 3, 4)),
+    *(lambda a=a, v=v: repetition_code(6, 2, a, v) for a in (2, 4) for v in ("split", "copy")),
+    lambda: repetition_code(4, 3, 3, "copy"),
+]
+
+
+@pytest.mark.parametrize("build", SMALL_REGISTRY)
+def test_searched_locality_is_within_declared_r(build):
+    # The constructors check only their stored plans; the search is the
+    # independent check.  example3 is left out: it promises functional
+    # repair only, and has no exact repair with beta = 1.
+    named = build()
+    found = repair_locality(named.code, named.declared.beta)
+    assert found is not None and found <= named.declared.r
+
+
+def _with_plans(edit):
+    return lambda named: dataclasses.replace(named, repair_plans=edit(named.repair_plans))
+
+
+def _with_declared(**changes):
+    return lambda named: dataclasses.replace(
+        named, declared=dataclasses.replace(named.declared, **changes)
+    )
+
+
+def _uncovering_plan(plans):
+    # node 0's plan without helper 3 does not cover node 0's space
+    plan = plans[0]
+    spaces = {h: plan.repair_spaces[h] for h in (1, 2)}
+    return {**plans, 0: RepairPlan(0, (1, 2), spaces, 1)}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_with_plans(lambda p: {i: p[i] for i in p if i != 2}), "no repair plan for node 2"),
+        (_with_plans(lambda p: {**p, 2: p[1]}), "no repair plan for node 2"),
+        (_with_plans(_uncovering_plan), "plan for node 0: repair spaces do not jointly cover"),
+        (_with_declared(r=2), "plan for node 0: more than r = 2 helpers"),
+        (_with_declared(beta=2), "plan for node 0: beta 1 != declared beta 2"),
+    ],
+)
+def test_verify_checks_a_plan_for_every_node(edit, message):
+    with pytest.raises(CodeError, match=message):
+        _verify(edit(example1()))
 
 
 def test_named_codes_registry():

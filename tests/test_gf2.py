@@ -15,6 +15,7 @@ from storagecodes.gf2 import (
     BitVector,
     EnumerationCapError,
     Subspace,
+    _solve_words,
     enumerate_subspaces,
     gaussian_binomial,
     rank,
@@ -363,6 +364,29 @@ def test_solve_matches_exhaustive_search(case, rhs_seed):
     for w in reduced.words():
         pivots |= w & -w
     assert got.word & ~pivots == 0  # free variables are zero
+
+
+@ORACLE
+@given(word_lists(), st.integers(0, 127))
+def test_solve_words_matches_exhaustive_search(case, rhs_seed):
+    # augmented rows a | b << m; the system may have no rows at all
+    m, rows = case
+    aug = [w | ((rhs_seed >> i) & 1) << m for i, w in enumerate(rows)]
+    got_rank, got = _solve_words(aug, m)
+    assert 1 << got_rank == len(span_of(rows))
+    solutions = [
+        x for x in range(1 << m)
+        if all((a & x).bit_count() & 1 == a >> m for a in aug)
+    ]
+    if solutions:
+        assert got in solutions
+    else:
+        assert got is None
+
+
+def test_solve_words_without_rows():
+    # no equations: rank 0, and every x solves, the zero vector first
+    assert _solve_words([], 4) == (0, 0)
 
 
 @ORACLE

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from storagecodes.codes import CodeError
 from storagecodes.constructions import (
     FunctionalSpec,
     example1,
@@ -11,7 +12,7 @@ from storagecodes.constructions import (
     example3_spec,
     rbt_mbr,
 )
-from storagecodes.gf2 import BitVector, Subspace
+from storagecodes.gf2 import BitMatrix, BitVector
 from storagecodes.sim import (
     SimulationError,
     StuckError,
@@ -71,11 +72,27 @@ def test_collect_returns_none_on_non_recovery_set():
 
 
 def test_collect_decodes_from_more_than_64_stored_symbols():
-    # rbt-mbr n=11: 10 nodes of 10 symbols stack into a 100-bit right-hand side
+    # rbt-mbr n=11: 10 nodes of 10 symbols give 100 symbol rows
     named = rbt_mbr(11)
     x = BitVector(55, random.Random(11).randrange(1 << 55))
     state = encode(named.code, x, named.repair_plans, 1)
     assert collect(state, range(1, 11)) == x
+
+
+def test_collect_detects_inconsistent_overdetermined_decode():
+    # all four nodes hold 8 symbols of a 4-bit message; one flip is seen
+    state, named, x = fresh_exact()
+    state.stored[3] = BitVector(2, state.stored[3].word ^ 1)
+    with pytest.raises(SimulationError, match="recovery-set decode was inconsistent"):
+        collect(state, range(4))
+
+
+def test_encode_functional_rejects_redundant_basis_row():
+    # node 0 plus the sum of its rows spans the same space with 3 rows
+    bases = list(example3_initial_bases())
+    bases[0] = BitMatrix.from_strings(bases[0].to_strings() + ["10100"])
+    with pytest.raises(CodeError, match="node 0: 3 basis rows, expected 2"):
+        encode_functional(example3_spec(), bases, BitVector(5, 0b10110))
 
 
 def test_collect_requires_live_nodes():
@@ -148,6 +165,16 @@ def test_exact_repair_mbr_family():
         assert state.stored[failed] == before
 
 
+# Node 0's plan: helper 1 sends its row 1 (e0+e3), helper 2 its row 0 (e2).
+@pytest.mark.parametrize("helper, bit", [(1, 1), (2, 0)])
+def test_exact_repair_detects_a_corrupted_helper_block(helper, bit):
+    state, named, x = fresh_exact()
+    fail(state, 0)
+    state.stored[helper] = BitVector(2, state.stored[helper].word ^ (1 << bit))
+    with pytest.raises(SimulationError, match="repair of node 0 did not restore its block"):
+        exact_repair(state, named.repair_plans[0])
+
+
 # ---------------------------------------------------------------------------
 # functional repair
 
@@ -203,6 +230,15 @@ def test_functional_repair_is_deterministic():
             fail(state, victim)
             functional_repair(state, victim)
     assert [m.to_strings() for m in a.bases] == [m.to_strings() for m in b.bases]
+
+
+def test_functional_repair_detects_a_corrupted_survivor_block():
+    # repairing node 2, survivor 0 sends its row 0 (e0); flip that symbol
+    state, spec, x = fresh_functional()
+    fail(state, 2)
+    state.stored[0] = BitVector(2, state.stored[0].word ^ 1)
+    with pytest.raises(SimulationError, match="repair of node 2 did not restore its block"):
+        functional_repair(state, 2)
 
 
 def test_functional_repair_requires_single_failure():
