@@ -100,6 +100,8 @@ def cmd_validate(args) -> int:
         problems += [f"plan for node {failed}: {p}" for p in validate_plan(code, plan)]
         if cf.declared is not None and len(plan.helpers) > cf.declared.r:
             problems.append(f"plan for node {failed} uses more than r={cf.declared.r} helpers")
+        if cf.declared is not None and plan.beta != beta:
+            problems.append(f"plan for node {failed}: beta {plan.beta} != declared beta {beta}")
     if problems:
         for p in problems:
             print(f"violation: {p}", file=sys.stderr)
@@ -137,6 +139,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.rounds < 0:
+        print(f"bad parameters: --rounds must be >= 0, got {args.rounds}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         cf = codefile.load(args.path)
     except codefile.CodeFileError as exc:

@@ -17,13 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf2 import (
     BitMatrix,
-    BitVector,
     Subspace,
+    _check_enumeration,
     _reduce,
     _rref_words,
+    _subspace_words,
     rank,
     subspace_sum,
-    subspaces_of,
 )
 
 
@@ -177,16 +177,6 @@ def validate_plan(code: StorageCode, plan: RepairPlan) -> List[str]:
     return violations
 
 
-def _gain(basis: Sequence[int], rows: Sequence[int]) -> List[int]:
-    """rows reduced by an RREF basis, in RREF; zero rows dropped.
-
-    The rows left are zero at every pivot of basis, so their span meets
-    it trivially and their count is dim(basis + rows) - dim(basis).
-    """
-    reduced = [_reduce(basis, w) for w in rows]
-    return _rref_words(reduced) if len(reduced) > 1 else [w for w in reduced if w]
-
-
 def find_repair_plan(
     code: StorageCode,
     failed: int,
@@ -197,19 +187,20 @@ def find_repair_plan(
     """Search for a valid repair plan over the given helper set.
 
     Depth-first over helpers in index order, enumerating beta-dimensional
-    subspaces of each helper's storage space in canonical order.  With k
-    helpers, P the sum of the spaces chosen so far and T the failed
-    node's space, a candidate W for the helper at depth d is skipped when
+    subspaces of each helper's storage space in canonical order; every
+    space is a list of RREF words.  With k helpers, P the sum of the
+    spaces chosen so far and T the failed node's space, the branch at
+    depth d is cut unless
 
-    - the k - d - 1 helpers after it cannot add the dimensions still
-      missing: each adds at most beta, so a plan needs
-      dim(P+W+T) - dim(P+W) <= beta * (k - d - 1); or
-    - T is not inside P + W plus the full spaces of those helpers.
+    - the k - d helpers left can add the dimensions still missing: each
+      adds at most beta, so dim(P+T) - dim P <= beta * (k - d); and
+    - T lies inside P plus the full spaces of those helpers.
 
-    Both are necessary conditions for completing the branch, so only
-    subtrees without a plan are cut; the order of the search is
-    unchanged and the first plan found (deterministic) is the same as
-    without them.  Returns that plan or None.
+    At depth k the two say that P covers T.  Both are necessary for
+    completing the branch, so only subtrees without a plan are cut; the
+    order of the search is unchanged and the first plan found
+    (deterministic) is the same as without them.  Returns that plan or
+    None.
     """
     helper_list = tuple(sorted(set(helpers)))
     if failed in helper_list:
@@ -217,48 +208,44 @@ def find_repair_plan(
     for i in helper_list + (failed,):
         if not 0 <= i < code.n:
             raise IndexError(f"node index {i} out of range")
-    target = code.subspaces[failed]
+    target = code.subspaces[failed].basis.words()
+    spaces = [code.subspaces[i].basis.words() for i in helper_list]
     k = len(helper_list)
-    if k * beta < target.dim:
-        return None
+    suffix: List[List[int]] = [[]]
+    for words in reversed(spaces):
+        suffix.append(_rref_words(words, suffix[-1]))
+    suffix.reverse()  # suffix[d] = sum of the full spaces of helpers d..k-1
+    chosen: List[Tuple[int, ...]] = []
 
-    suffix_spans: List[Subspace] = [Subspace.zero(code.message_dim)]
-    for i in reversed(helper_list):
-        suffix_spans.append(subspace_sum([code.subspaces[i], suffix_spans[-1]]))
-    suffix_spans.reverse()  # suffix_spans[t] = sum of helpers t.. full spaces
-
-    chosen: Dict[int, Subspace] = {}
-
-    def covered(partial: Subspace, depth: int) -> bool:
-        return subspace_sum([partial, suffix_spans[depth]]).contains_subspace(target)
-
-    def dfs(depth: int, partial: Subspace, with_target: List[int]) -> bool:
-        # with_target: the RREF words of partial + target.
+    def dfs(depth: int, partial: List[int], with_target: List[int]) -> bool:
+        # partial and with_target: the RREF words of P and of P + T
+        if len(with_target) - len(partial) > beta * (k - depth):
+            return False
+        reach = _rref_words(partial, suffix[depth])
+        if any(_reduce(reach, t) for t in target):
+            return False
         if depth == k:
-            return partial.contains_subspace(target)
-        helper = helper_list[depth]
-        base = partial.basis.words()
-        missing = len(with_target) - len(base)  # dim(P+T) - dim P
-        slack = beta * (k - depth - 1)
-        for w in subspaces_of(code.subspaces[helper], beta, cap):
-            rows = w.basis.words()
-            gain_t = _gain(with_target, rows)
-            if missing + len(gain_t) - len(_gain(base, rows)) > slack:
-                continue
-            extended = subspace_sum([partial, w])
-            if not covered(extended, depth + 1):
-                continue
-            chosen[helper] = w
-            if dfs(depth + 1, extended, _rref_words(with_target + gain_t)):
+            return True
+        words = spaces[depth]
+        if beta > len(words):
+            return False
+        _check_enumeration(len(words), beta, cap)
+        for w in _subspace_words(words, beta):
+            chosen.append(w)
+            if dfs(depth + 1, _rref_words(w, partial), _rref_words(w, with_target)):
                 return True
-            del chosen[helper]
+            chosen.pop()
         return False
 
-    if not covered(Subspace.zero(code.message_dim), 0):
+    if not dfs(0, [], target):
         return None
-    if dfs(0, Subspace.zero(code.message_dim), target.basis.words()):
-        return RepairPlan(failed, helper_list, dict(chosen), beta)
-    return None
+    m = code.message_dim
+    return RepairPlan(
+        failed,
+        helper_list,
+        {h: Subspace._canonical(m, w) for h, w in zip(helper_list, chosen)},
+        beta,
+    )
 
 
 def repair_locality(
@@ -293,14 +280,8 @@ def permute_plan(plan: RepairPlan, perm: Sequence[int], node_map: Dict[int, int]
     m = next(iter(plan.repair_spaces.values())).ambient_dim
 
     def map_space(s: Subspace) -> Subspace:
-        rows = []
-        for row in s.basis.rows:
-            w = 0
-            for i in range(m):
-                if row.bit(i):
-                    w |= 1 << perm[i]
-            rows.append(BitVector(m, w))
-        return Subspace.spanned_by(m, rows)
+        words = [sum(1 << perm[i] for i in range(m) if (w >> i) & 1) for w in s.basis.words()]
+        return Subspace.from_matrix(BitMatrix.from_words(m, words))
 
     return RepairPlan(
         node_map[plan.failed],

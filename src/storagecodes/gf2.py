@@ -167,14 +167,16 @@ def _reduce(basis: Sequence[int], word: int) -> int:
     return word
 
 
-def _rref_words(words: Iterable[int]) -> List[int]:
+def _rref_words(words: Iterable[int], start: Sequence[int] = ()) -> List[int]:
     """Reduced row echelon form on int rows; zero rows dropped.
 
     A row's pivot is its lowest set bit.  Each incoming row is reduced
     by the rows kept so far; if anything is left, its pivot is cleared
     from the kept rows and it is kept too.  Rows come out in pivot order.
+    The kept rows start as start, which must already be in RREF, so
+    adding a few rows to a basis costs one pass over it.
     """
-    rows: List[int] = []
+    rows: List[int] = [*start]
     for w in words:
         for row in rows:  # _reduce, inlined: this is the hottest loop
             if w & row & -row:

@@ -176,11 +176,22 @@ def _too_many_helpers(doc):
     return "plan for node 0 uses more than r=2 helpers"
 
 
+def _beta_not_declared(doc):
+    # two full helper spaces cover node 0 of example1, but at beta = 2
+    # against the declared beta = 1
+    plan = doc["repair_plans"]["0"]
+    plan["helpers"] = [1, 2]
+    plan["beta"] = 2
+    plan["spaces"] = {str(h): doc["nodes"][h] for h in (1, 2)}
+    return "plan for node 0: beta 2 != declared beta 1"
+
+
 @pytest.mark.parametrize(
     "construct_args, breakage",
     [
         (("example1",), _break_stored_plan),
         (("repetition", "--n", "6", "--r", "2", "--alpha", "2", "--variant", "copy"), _too_many_helpers),
+        (("example1",), _beta_not_declared),
     ],
 )
 def test_validate_checks_stored_plans(tmp_path, capsys, construct_args, breakage):
@@ -328,6 +339,32 @@ def test_simulate_functional_output_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2458d42b5ffa011c5ab69c4bcc290c40a21f463645ad32992c884809ec3dc0bc"
     )
+
+
+def test_simulate_searched_exact_output_is_pinned(tmp_path, capsys):
+    # Without stored plans every repair searches all live helpers.  The
+    # digest the CI smoke step checks on the installed console script.
+    path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "8")
+    doc = json.loads(path.read_text())
+    del doc["repair_plans"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "--seed", "0", "--rounds", "200", "--format", "record-stream", "simulate", str(path)
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f84e022bd5616f714496dab6c321215794d70d8a3765afb2eae0219ad7af5cbf"
+    )
+
+
+def test_simulate_rejects_negative_rounds(tmp_path, capsys):
+    path = write_code(tmp_path, capsys, "example1")
+    code, out, err = run(capsys, "--rounds", "-3", "simulate", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("bad parameters: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "--rounds", "0", "simulate", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "repairs: 0" in out
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

@@ -29,7 +29,14 @@ from storagecodes.constructions import (
     repetition_code,
     single_parity,
 )
-from storagecodes.gf2 import BitMatrix, BitVector, Subspace, subspace_sum, subspaces_of
+from storagecodes.gf2 import (
+    BitMatrix,
+    BitVector,
+    EnumerationCapError,
+    Subspace,
+    subspace_sum,
+    subspaces_of,
+)
 
 
 def four_rotations():
@@ -309,6 +316,32 @@ def small_codes(draw):
 @given(small_codes(), st.sampled_from([1, 2]))
 def test_find_repair_plan_matches_reference_on_small_codes(code, beta):
     assert_search_matches_reference(code, beta)
+
+
+def test_find_repair_plan_cap_applies_to_each_helper():
+    # each helper of rbt-mbr n=6 stores 5 symbols: gaussian_binomial(5, 1)
+    # = 31 lines to choose from
+    code = rbt_mbr(6).code
+    others = [1, 2, 3, 4, 5]
+    assert find_repair_plan(code, 0, others, 1, cap=31) is not None
+    with pytest.raises(EnumerationCapError):
+        find_repair_plan(code, 0, others, 1, cap=30)
+
+
+@pytest.mark.parametrize("beta", [3, 2**70])
+def test_find_repair_plan_beta_above_every_helper_is_none(beta):
+    # the nodes are 2-dimensional, so no helper has a candidate and the
+    # cap is never consulted
+    assert find_repair_plan(four_rotations(), 0, [1, 2, 3], beta, cap=1) is None
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_searched_rbt_mbr_plan_is_the_stored_plan(n):
+    named = rbt_mbr(n)
+    for failed in range(n):
+        others = [i for i in range(n) if i != failed]
+        plan = find_repair_plan(named.code, failed, others, named.declared.beta)
+        assert plan == named.repair_plans[failed], failed
 
 
 # ---------------------------------------------------------------------------

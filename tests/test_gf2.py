@@ -15,6 +15,7 @@ from storagecodes.gf2 import (
     BitVector,
     EnumerationCapError,
     Subspace,
+    _rref_words,
     _solve_words,
     enumerate_subspaces,
     gaussian_binomial,
@@ -387,6 +388,18 @@ def test_solve_words_matches_exhaustive_search(case, rhs_seed):
 def test_solve_words_without_rows():
     # no equations: rank 0, and every x solves, the zero vector first
     assert _solve_words([], 4) == (0, 0)
+
+
+@ORACLE
+@given(word_lists(count=2))
+def test_rref_words_extends_a_start_basis(case):
+    # the start basis is copied, not changed, and the result is the
+    # canonical RREF of both lists together
+    m, xs, ys = case
+    start = _rref_words(xs)
+    kept = list(start)
+    assert _rref_words(ys, start) == _rref_words(xs + ys)
+    assert _rref_words([], start) == start == kept
 
 
 @ORACLE
