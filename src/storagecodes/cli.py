@@ -100,8 +100,9 @@ def cmd_validate(args) -> int:
         problems += [f"plan for node {failed}: {p}" for p in validate_plan(code, plan)]
         if cf.declared is not None and len(plan.helpers) > cf.declared.r:
             problems.append(f"plan for node {failed} uses more than r={cf.declared.r} helpers")
-        if cf.declared is not None and plan.beta != beta:
-            problems.append(f"plan for node {failed}: beta {plan.beta} != declared beta {beta}")
+        if plan.beta != beta:
+            source = "default" if cf.declared is None else "declared"
+            problems.append(f"plan for node {failed}: beta {plan.beta} != {source} beta {beta}")
     if problems:
         for p in problems:
             print(f"violation: {p}", file=sys.stderr)

@@ -13,7 +13,6 @@ the search runs one max flow per killed state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -75,8 +74,12 @@ def rebuild(g: FlowGraph, helpers: Iterable[int], alpha: int, beta: int) -> Flow
 # max flow
 
 
-def _dinic(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int) -> int:
-    """Exact integral max flow (Dinic) on integer capacities."""
+def _max_flow(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int) -> int:
+    """Exact integral max flow (Edmonds–Karp) on integer capacities.
+
+    Each augmentation follows a shortest residual path, so the number of
+    augmentations is at most V·E whatever the capacities are.
+    """
     to: List[int] = []
     cap: List[int] = []
     adj: List[List[int]] = [[] for _ in range(n_vertices)]
@@ -90,41 +93,29 @@ def _dinic(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int) -
 
     flow = 0
     while True:
-        level = [-1] * n_vertices
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        via = [-1] * n_vertices  # residual edge that first reached each vertex
+        via[s] = -2
+        queue = [s]
+        for u in queue:
             for e in adj[u]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
+                if cap[e] > 0 and via[to[e]] == -1:
+                    via[to[e]] = e
                     queue.append(to[e])
-        if level[t] < 0:
+            if via[t] != -1:
+                break
+        else:
             return flow
-        it = [0] * n_vertices  # next edge to try at each vertex
-        path: List[int] = []  # level-graph edges from s to u
-        u = s
-        while True:
-            if u == t:
-                pushed = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                flow += pushed
-                path, u = [], s
-            edges_u = adj[u]
-            while it[u] < len(edges_u):
-                e = edges_u[it[u]]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
-                    path.append(e)
-                    u = to[e]
-                    break
-                it[u] += 1
-            else:
-                if u == s:
-                    break
-                u = to[path.pop() ^ 1]  # dead end: retreat and skip that edge
-                it[u] += 1
+        path = []
+        v = t
+        while v != s:
+            e = via[v]
+            path.append(e)
+            v = to[e ^ 1]
+        pushed = min([cap[e] for e in path])
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        flow += pushed
 
 
 def build_flow_network(
@@ -163,7 +154,7 @@ def collector_value(g: FlowGraph, collect_on: Optional[Sequence[int]] = None) ->
     incarnations (used to replay the classic cutset-bound argument).
     """
     n_vertices, edges, s, t = build_flow_network(g, collect_on)
-    return _dinic(n_vertices, edges, s, t)
+    return _max_flow(n_vertices, edges, s, t)
 
 
 def dimakis_cutset_value(n: int, k: int, r: int, alpha: int, beta: int) -> int:
@@ -210,6 +201,8 @@ def canonical_key(g: FlowGraph) -> str:
     (iterated color refinement with individualization on ties).  Swapping
     twins (same color, helpers and children) is an automorphism, so one
     member per twin class is individualized; the key is unchanged.
+    Refinement stops as soon as every color is distinct, since a
+    discrete coloring is already stable.
     """
     rel = _ancestors_of_live(g)
     index = {v: i for i, v in enumerate(rel)}
@@ -228,8 +221,9 @@ def canonical_key(g: FlowGraph) -> str:
     links = list(zip(helpers, children))
 
     def refine(colors: List[int]) -> List[int]:
-        # Returns dense colors: a ranking of the stable signatures.
-        while True:
+        # Returns dense colors: a ranking of the stable signatures.  Each
+        # signature starts with its color, so distinct colors are stable.
+        while max(colors, default=-1) < n - 1:
             signatures = [
                 (
                     c,
@@ -241,8 +235,9 @@ def canonical_key(g: FlowGraph) -> str:
             mapping = {sig: j for j, sig in enumerate(sorted(set(signatures)))}
             new = [mapping[sig] for sig in signatures]
             if new == colors:
-                return colors
+                break
             colors = new
+        return colors
 
     def encode(colors: List[int]) -> str:
         # Discrete dense colors are each vertex's position in the order.
@@ -336,7 +331,10 @@ class _Searcher:
     first kill keys no further victims.  A rebuild child is built, and
     its key computed, only when BUILDER first tries that helper set
     with a round still to play after it; the key is stored beside the
-    child and handed to `search`, so no child is keyed twice.
+    child and handed to `search`, so no child is keyed twice.  The
+    child's first kill is its newcomer, which nothing depends on yet;
+    that kill has the killed state's ancestor subgraph, so `search`
+    also gets the killed state's key and reuses it for that victim.
     """
 
     EXACT, LOWER, UPPER = 0, 1, 2
@@ -386,11 +384,23 @@ class _Searcher:
         self.table[entry] = (best, flag, line)
         return best, line
 
-    def _kills(self, g: FlowGraph) -> Iterator[Tuple[int, FlowGraph, str]]:
-        """Kills of g with distinct killed keys, newest victim first."""
+    def _kills(
+        self, g: FlowGraph, undo_key: Optional[str] = None
+    ) -> Iterator[Tuple[int, FlowGraph, str]]:
+        """Kills of g with distinct killed keys, newest victim first.
+
+        undo_key, if given, is the key of killing g's newest incarnation.
+        """
         state = self.kill_cache.get(g)
         if state is None:
-            state = self.kill_cache[g] = ([], iter(sorted(g.live, reverse=True)), set())
+            victims = sorted(g.live, reverse=True)
+            found: List[Tuple[int, FlowGraph, str]] = []
+            seen: Set[str] = set()
+            if undo_key is not None:
+                newest = victims.pop(0)
+                found.append((newest, kill(g, newest), undo_key))
+                seen.add(undo_key)
+            state = self.kill_cache[g] = (found, iter(victims), seen)
         found, victims, seen = state
         i = 0
         while True:
@@ -423,13 +433,15 @@ class _Searcher:
         lo: float,
         hi: float,
         key: Optional[str] = None,
+        undo_key: Optional[str] = None,
     ) -> Tuple[float, Tuple[Move, ...]]:
         """Value of the next `rounds` full rounds, KILLER to move.
 
         Fail-soft: a result <= lo is an upper bound on the true value and
         a result >= hi is a lower bound.  Returns the optimal minimum
         over collector values of the states visited after each rebuild
-        (inf when rounds == 0).
+        (inf when rounds == 0).  key is g's canonical key and undo_key
+        that of killing g's newest incarnation, when the caller has them.
         """
         if rounds == 0:
             return _INF, ()
@@ -441,7 +453,7 @@ class _Searcher:
 
         best: float = _INF
         best_line: Tuple[Move, ...] = ()
-        for victim, killed, kkey in self._kills(g):
+        for victim, killed, kkey in self._kills(g, undo_key):
             value, line = self._builder(killed, rounds, lo, min(hi, best), kkey)
             if value < best:
                 best = value
@@ -476,7 +488,7 @@ class _Searcher:
                 if slot[1] is None:
                     child = rebuild(g, helpers, self.alpha, self.beta)
                     slot[1:] = child, canonical_key(child)
-                sub, line = self.search(slot[1], rounds - 1, max(lo, best), hi, slot[2])
+                sub, line = self.search(slot[1], rounds - 1, max(lo, best), hi, slot[2], kkey)
             value = min(cv, sub)
             if value > best:
                 best = value

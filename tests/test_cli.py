@@ -186,12 +186,21 @@ def _beta_not_declared(doc):
     return "plan for node 0: beta 2 != declared beta 1"
 
 
+def _beta_not_default(doc):
+    # the same plan in a file without a declared block, where validate
+    # checks locality at the default beta = 1
+    del doc["declared"]
+    _beta_not_declared(doc)
+    return "plan for node 0: beta 2 != default beta 1"
+
+
 @pytest.mark.parametrize(
     "construct_args, breakage",
     [
         (("example1",), _break_stored_plan),
         (("repetition", "--n", "6", "--r", "2", "--alpha", "2", "--variant", "copy"), _too_many_helpers),
         (("example1",), _beta_not_declared),
+        (("example1",), _beta_not_default),
     ],
 )
 def test_validate_checks_stored_plans(tmp_path, capsys, construct_args, breakage):

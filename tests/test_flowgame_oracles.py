@@ -7,6 +7,7 @@ canonical keys checks minimax.  Every input is seeded.
 
 import hashlib
 import random
+import time
 from itertools import combinations
 from typing import Dict, List, Tuple
 
@@ -183,6 +184,25 @@ def test_canonical_key_strings_are_pinned(oracle_graphs):
     assert hashlib.sha256(keys.encode()).hexdigest() == ORACLE_KEYS_SHA256
 
 
+def test_killing_the_newcomer_restores_the_key():
+    # The searcher reuses the killed state's key for its rebuild child's
+    # first kill, the newcomer's, which nothing depends on yet.
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(400):
+        rebuilt = random_game_graph(rng)
+        for g in (rebuilt, kill(rebuilt, rng.choice(sorted(rebuilt.live)))):
+            key = canonical_key(g)
+            alpha, beta = rng.randrange(1, 4), rng.randrange(1, 4)
+            live = sorted(g.live)
+            for size in range(1, len(live) + 1):
+                for helpers in combinations(live, size):
+                    child = rebuild(g, helpers, alpha, beta)
+                    assert canonical_key(kill(child, len(g.nodes))) == key, (g, helpers)
+                    checked += 1
+    assert checked > 5000
+
+
 # ---------------------------------------------------------------------------
 # collector_value
 
@@ -200,23 +220,50 @@ def test_rebuild_keeps_collector_value(rng):
             assert collector_value(rebuild(killed, helpers, alpha, beta)) == value
 
 
+def rebuilt_graph(rng: random.Random, n: int, alpha: int, beta: int, rounds: int) -> FlowGraph:
+    """rounds kills, each followed by a rebuild from a random nonempty helper set."""
+    g = initial_graph(n, alpha)
+    for _ in range(rounds):
+        g = kill(g, rng.choice(sorted(g.live)))
+        live = sorted(g.live)
+        g = rebuild(g, rng.sample(live, rng.randrange(1, len(live) + 1)), alpha, beta)
+    return g
+
+
+def networkx_collector_value(g: FlowGraph) -> int:
+    n_vertices, edges, s, t = build_flow_network(g)
+    network = nx.DiGraph()
+    network.add_nodes_from(range(n_vertices))
+    for u, v, c in edges:
+        network.add_edge(u, v, capacity=c)
+    return nx.maximum_flow_value(network, s, t)
+
+
 def test_collector_value_matches_networkx_max_flow():
     rng = random.Random(4300)
     for _ in range(150):
         n = rng.randrange(3, 7)
         alpha, beta = rng.randrange(1, 4), rng.randrange(1, 4)
-        g = initial_graph(n, alpha)
-        for _ in range(rng.randrange(8 - n, 12)):
-            g = kill(g, rng.choice(sorted(g.live)))
-            live = sorted(g.live)
-            g = rebuild(g, rng.sample(live, rng.randrange(1, len(live) + 1)), alpha, beta)
-        n_vertices, edges, s, t = build_flow_network(g)
-        assert n_vertices > 14
-        network = nx.DiGraph()
-        network.add_nodes_from(range(n_vertices))
-        for u, v, c in edges:
-            network.add_edge(u, v, capacity=c)
-        assert collector_value(g) == nx.maximum_flow_value(network, s, t)
+        g = rebuilt_graph(rng, n, alpha, beta, rng.randrange(8 - n, 12))
+        assert build_flow_network(g)[0] > 14
+        assert collector_value(g) == networkx_collector_value(g)
+
+
+def test_max_flow_augmentations_do_not_depend_on_capacity():
+    # With capacities near 10**9, an augmentation rule whose number of
+    # rounds grows with the capacities (one unit per path, say) would run
+    # for hours; shortest augmenting paths need a handful per network.
+    rng = random.Random(10**9)
+    elapsed = 0.0
+    for _ in range(40):
+        n = rng.randrange(3, 6)
+        alpha, beta = 10**9 + rng.randrange(100), 10**9 // rng.randrange(2, 5)
+        g = rebuilt_graph(rng, n, alpha, beta, rng.randrange(2, 8))
+        start = time.perf_counter()
+        value = collector_value(g)
+        elapsed += time.perf_counter() - start
+        assert value == networkx_collector_value(g)
+    assert elapsed < 10
 
 
 # ---------------------------------------------------------------------------
