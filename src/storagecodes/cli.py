@@ -58,6 +58,21 @@ def _emit(args, pairs) -> None:
             print(f"{k}: {v}")
 
 
+def _bind(args, fn, defaults) -> Optional[dict]:
+    """fn's arguments from the options of the same name, or None after
+    reporting a given option that fn does not take.
+
+    The options are parsed with argparse.SUPPRESS, so a left-out option
+    is absent from args and takes its value from defaults.
+    """
+    params = inspect.signature(fn).parameters
+    unused = [f"--{p}" for p in defaults if p not in params and hasattr(args, p)]
+    if unused:
+        print(f"bad parameters: {args.name} does not take {', '.join(unused)}", file=sys.stderr)
+        return None
+    return {p: getattr(args, p, defaults[p]) for p in params}
+
+
 def cmd_validate(args) -> int:
     try:
         cf = codefile.load(args.path)
@@ -116,6 +131,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# The options of `construct`, with the value each takes when it is not given.
+CONSTRUCT_DEFAULTS = {"n": 4, "r": 3, "alpha": None, "variant": "split"}
+
+
 def cmd_construct(args) -> int:
     """Build a registry code and write its code file.
 
@@ -123,9 +142,11 @@ def cmd_construct(args) -> int:
     the options of the same name.
     """
     build = named_codes()[args.name]
-    params = inspect.signature(build).parameters
+    inputs = _bind(args, build, CONSTRUCT_DEFAULTS)
+    if inputs is None:
+        return EXIT_PARSE
     try:
-        cf = codefile.from_named_code(build(**{p: getattr(args, p) for p in params}))
+        cf = codefile.from_named_code(build(**inputs))
     except (ValueError, TypeError) as exc:  # CodeError is a ValueError
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -226,12 +247,9 @@ BOUNDS = {
 
 def cmd_bound(args) -> int:
     fn = BOUNDS[args.name]
-    params = inspect.signature(fn).parameters
-    unused = [f"--{p}" for p in BOUND_DEFAULTS if p not in params and hasattr(args, p)]
-    if unused:
-        print(f"bad parameters: {args.name} does not take {', '.join(unused)}", file=sys.stderr)
+    inputs = _bind(args, fn, BOUND_DEFAULTS)
+    if inputs is None:
         return EXIT_PARSE
-    inputs = {p: getattr(args, p, BOUND_DEFAULTS[p]) for p in params}
     try:
         value, extra = fn(**inputs)
     except (ValueError, TypeError) as exc:
@@ -288,12 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("construct", help="write a named code to a file", parents=after)
+    # As with `bound` below, an option left out stays unset and takes its
+    # value from CONSTRUCT_DEFAULTS.
+    p = sub.add_parser(
+        "construct", help="write a named code to a file", parents=after,
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("name", choices=list(named_codes()))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--variant", choices=["split", "copy"], default="split")
+    p.add_argument("--n", type=int)
+    p.add_argument("--r", type=int)
+    p.add_argument("--alpha", type=int)
+    p.add_argument("--variant", choices=["split", "copy"])
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser(

@@ -87,6 +87,13 @@ def _functional_spec(name: object) -> FunctionalSpec:
     return spec
 
 
+def _int(value: object, field: str) -> int:
+    """value if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise CodeFileError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def loads(text: str) -> CodeFile:
     try:
         doc = json.loads(text)
@@ -95,7 +102,7 @@ def loads(text: str) -> CodeFile:
     if not isinstance(doc, dict):
         raise CodeFileError("top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CodeFileError(f"unsupported format_version {version!r}")
     mode = doc.get("mode", "exact")
     name = doc.get("name")
@@ -120,7 +127,7 @@ def loads(text: str) -> CodeFile:
         return CodeFile(name, code, spec=spec)
 
     for key in ("m", "n", "alpha"):
-        if key in doc and doc[key] != getattr(
+        if key in doc and _int(doc[key], key) != getattr(
             code, {"m": "message_dim", "n": "n", "alpha": "alpha"}[key]
         ):
             raise CodeFileError(f"declared {key} = {doc[key]} does not match the node bases")
@@ -136,8 +143,8 @@ def loads(text: str) -> CodeFile:
         for key, entry in doc["repair_plans"].items():
             try:
                 failed = int(key)
-                helpers = tuple(int(h) for h in entry["helpers"])
-                beta = int(entry["beta"])
+                helpers = tuple(_int(h, "a helper") for h in entry["helpers"])
+                beta = _int(entry["beta"], "beta")
                 if not isinstance(entry["spaces"], dict):
                     raise TypeError("'spaces' must be an object")
                 spaces = {
@@ -156,7 +163,12 @@ def loads(text: str) -> CodeFile:
         d = doc["declared"]
         try:
             declared = CodeParams(
-                code.message_dim, code.n, int(d["k"]), int(d["r"]), code.alpha, int(d["beta"])
+                code.message_dim,
+                code.n,
+                _int(d["k"], "k"),
+                _int(d["r"], "r"),
+                code.alpha,
+                _int(d["beta"], "beta"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise CodeFileError(f"bad declared parameters: {exc}") from exc

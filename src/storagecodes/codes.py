@@ -150,6 +150,8 @@ class RepairPlan:
 
     def __post_init__(self) -> None:
         self.helpers = tuple(sorted(self.helpers))
+        if len(set(self.helpers)) != len(self.helpers):
+            raise CodeError("a helper is listed more than once")
         if self.failed in self.helpers:
             raise CodeError("the failed node cannot be its own helper")
         if set(self.repair_spaces) != set(self.helpers):

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import bounds
 
 DEFAULT_MEMO_CAP = 10**6
-
-INFINITE = -1  # sentinel for unbounded edge capacity
 
 
 class CapExceededError(RuntimeError):
@@ -121,7 +119,7 @@ def _max_flow(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int
 def build_flow_network(
     g: FlowGraph, collect_on: Optional[Sequence[int]] = None
 ) -> Tuple[int, List[Tuple[int, int, int]], int, int]:
-    """Vertex count, edge list (with INFINITE resolved), source, sink."""
+    """Vertex count, edge list, source, sink; unbounded edges exceed all finite ones together."""
     collect = sorted(g.live) if collect_on is None else sorted(set(collect_on))
     for i in collect:
         if not 0 <= i < len(g.nodes):
@@ -326,15 +324,17 @@ class _Searcher:
 
     Moves are generated lazily and kept per labelled position, so that
     iterative deepening and re-searches with another window resume
-    where an earlier visit stopped.  Kills are deduplicated by the
-    killed state's key one victim at a time, so a cutoff after the
-    first kill keys no further victims.  A rebuild child is built, and
-    its key computed, only when BUILDER first tries that helper set
-    with a round still to play after it; the key is stored beside the
-    child and handed to `search`, so no child is keyed twice.  The
-    child's first kill is its newcomer, which nothing depends on yet;
-    that kill has the killed state's ancestor subgraph, so `search`
-    also gets the killed state's key and reuses it for that victim.
+    where an earlier visit stopped.  Kills are keyed one victim at a
+    time, and a kill whose killed-state key matches a kill already
+    found is skipped, so a cutoff after the first kill keys no further
+    victims.  Every caller hands `search` the position's key: `minimax`
+    keys the root once, and a rebuild child is built, and its key
+    computed, only when BUILDER first tries that helper set with a
+    round still to play after it; the key is stored beside the child,
+    so no child is keyed twice.  The child's first kill is its
+    newcomer, which nothing depends on yet; that kill has the killed
+    state's ancestor subgraph, so `search` also gets the killed state's
+    key and reuses it for that victim.
     """
 
     EXACT, LOWER, UPPER = 0, 1, 2
@@ -348,11 +348,10 @@ class _Searcher:
         self.table: Dict[Tuple[int, str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
         # Window-independent per-position move state, keyed by the labeled
         # graph: the distinct kills found so far with the victims not yet
-        # tried and the killed keys seen, and the killed state's cut with
-        # one [helpers, child, child key] slot per rebuild (child unbuilt
-        # until first needed).
+        # tried, and the killed state's cut with one [helpers, child, child
+        # key] slot per rebuild (child unbuilt until first needed).
         self.kill_cache: Dict[
-            FlowGraph, Tuple[List[Tuple[int, FlowGraph, str]], Iterator[int], Set[str]]
+            FlowGraph, Tuple[List[Tuple[int, FlowGraph, str]], Iterator[int]]
         ] = {}
         self.cand_cache: Dict[FlowGraph, Tuple[int, List[list]]] = {}
 
@@ -395,21 +394,18 @@ class _Searcher:
         if state is None:
             victims = sorted(g.live, reverse=True)
             found: List[Tuple[int, FlowGraph, str]] = []
-            seen: Set[str] = set()
             if undo_key is not None:
                 newest = victims.pop(0)
                 found.append((newest, kill(g, newest), undo_key))
-                seen.add(undo_key)
-            state = self.kill_cache[g] = (found, iter(victims), seen)
-        found, victims, seen = state
+            state = self.kill_cache[g] = (found, iter(victims))
+        found, victims = state
         i = 0
         while True:
             if i == len(found):
                 for victim in victims:
                     killed = kill(g, victim)
                     kkey = canonical_key(killed)
-                    if kkey not in seen:
-                        seen.add(kkey)
+                    if all(kkey != known for _, _, known in found):
                         found.append((victim, killed, kkey))
                         break
                 else:
@@ -432,20 +428,17 @@ class _Searcher:
         rounds: int,
         lo: float,
         hi: float,
-        key: Optional[str] = None,
+        key: str,
         undo_key: Optional[str] = None,
     ) -> Tuple[float, Tuple[Move, ...]]:
-        """Value of the next `rounds` full rounds, KILLER to move.
+        """Value of the next `rounds` >= 1 full rounds, KILLER to move.
 
         Fail-soft: a result <= lo is an upper bound on the true value and
         a result >= hi is a lower bound.  Returns the optimal minimum
-        over collector values of the states visited after each rebuild
-        (inf when rounds == 0).  key is g's canonical key and undo_key
-        that of killing g's newest incarnation, when the caller has them.
+        over collector values of the states visited after each rebuild.
+        key is g's canonical key; undo_key, when the caller has it, is
+        that of killing g's newest incarnation.
         """
-        if rounds == 0:
-            return _INF, ()
-        key = canonical_key(g) if key is None else key
         entry = (self.KILLER, key, rounds)
         hit = self._probe(entry, lo, hi)
         if hit is not None:
@@ -506,25 +499,27 @@ def minimax(
 ) -> GameValue:
     """Optimal-play value over at most `horizon` kill/rebuild rounds.
 
-    Uses iterative deepening: if the memo cap is hit at some depth, the
-    deepest completed depth is returned (deepening monotonicity makes
-    any completed depth a valid upper-bound certificate).
+    One iterative-deepening loop searches depths 1..horizon from the
+    root, whose key is computed once.  If the memo cap is hit at some
+    depth, the deepest completed depth is returned (deepening
+    monotonicity makes any completed depth a valid upper-bound
+    certificate); if no depth has completed, CapExceededError is raised.
 
-    With a target, deepening stops at the first depth whose value is
-    certified <= target; the value is exact at that depth and remains a
-    valid upper bound for every deeper horizon.  Intermediate depths are
-    probed with a single null-window search, which is much cheaper than
-    an exact evaluation.
+    With a target, each depth is first probed with a single null-window
+    search, which is much cheaper than an exact evaluation.  Deepening
+    stops at the first depth whose value is certified <= target; the
+    value is exact at that depth and remains a valid upper bound for
+    every deeper horizon.  If no depth below the horizon meets the
+    target, the horizon itself is searched exactly, so the value then
+    exceeds the target.
     """
     if horizon < 1:
         raise ValueError("need horizon >= 1")
     memo_cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
-    start_cut = collector_value(state.graph)
+    root = canonical_key(state.graph)
+    value = collector_value(state.graph)  # the start cut bounds every depth
     result: Optional[GameValue] = None
-    value = start_cut
-    line: Tuple[Move, ...] = ()
     searcher = _Searcher(state.r, state.alpha, state.beta, memo_cap)
-    capped = False
     probed = 0  # depths whose probe completed above the target
 
     def exact_at_depth(depth: int, upper: int) -> Tuple[int, Tuple[Move, ...]]:
@@ -532,48 +527,37 @@ def minimax(
         # bound; one final exact-band pass yields a genuine principal line.
         v = upper
         while v > 0:
-            got, _ = searcher.search(state.graph, depth, v - 1, v)
+            got, _ = searcher.search(state.graph, depth, v - 1, v, root)
             if got >= v:
                 break
             v = int(got)  # fail-soft upper bound; keep descending
-        got, got_line = searcher.search(state.graph, depth, v - 1, v + 1)
-        if got < _INF:
-            return min(v, int(got)), got_line
-        return v, ()
+        got, line = searcher.search(state.graph, depth, v - 1, v + 1, root)
+        return min(v, int(got)), line
 
     for depth in range(1, horizon + 1):
         try:
             if target is not None:
-                probe, _ = searcher.search(state.graph, depth, target, target + 1)
-                if probe > target:
-                    probed = depth
-                    continue  # lower bound above the target: deepen
-                value = min(value, int(probe))
+                probe, _ = searcher.search(state.graph, depth, target, target + 1, root)
+                if probe <= target:
+                    value = int(probe)  # fail-soft upper bound, at most the start cut
+                else:
+                    probed = depth  # lower bound above the target
+                    if depth < horizon:
+                        continue  # deepen
             value, line = exact_at_depth(depth, value)
         except CapExceededError:
-            capped = True
+            if result is None:
+                msg = f"memo cap {memo_cap} hit at depth {depth} before any horizon completed"
+                if probed == 1:
+                    msg += f"; the probe at depth 1 stayed above the target {target}"
+                elif probed:
+                    msg += f"; the probes at depths 1-{probed} stayed above the target {target}"
+                raise CapExceededError(msg)
+            result.capped = True
             break
-        result = GameValue(min(start_cut, value), depth, line)
-        if result.value == 0:
+        result = GameValue(value, depth, line)
+        if value == 0 or (target is not None and value <= target):
             break
-        if target is not None and result.value <= target:
-            break
-    if result is None and not capped and target is not None:
-        # never certified <= target: fall back to the exact full-horizon value
-        try:
-            value, line = exact_at_depth(horizon, value)
-            result = GameValue(min(start_cut, value), horizon, line)
-        except CapExceededError:
-            capped = True
-    if result is None:
-        # The cap was hit at depth: in the loop, or in the fallback at the horizon.
-        msg = f"memo cap {memo_cap} hit at depth {depth} before any horizon completed"
-        if probed == 1:
-            msg += f"; the probe at depth 1 stayed above the target {target}"
-        elif probed:
-            msg += f"; the probes at depths 1-{probed} stayed above the target {target}"
-        raise CapExceededError(msg)
-    result.capped = capped
     return result
 
 

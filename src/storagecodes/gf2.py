@@ -99,6 +99,8 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, texts: Sequence[str]) -> "BitMatrix":
+        if isinstance(texts, str):
+            raise TypeError(f"a matrix must be a list of 0/1 strings, not the string {texts!r}")
         rows = [BitVector.from_string(t) for t in texts]
         if not rows:
             raise ValueError("cannot infer column count from an empty matrix")

@@ -88,6 +88,55 @@ def test_construct_out_of_range_parameters_are_one_line(capsys, argv):
     assert err.startswith("bad parameters: ") and err.count("\n") == 1
 
 
+# The options each construction takes; every other construct option is rejected.
+CONSTRUCT_OPTIONS = {
+    "example1": set(),
+    "rbt-mbr": {"n"},
+    "repetition": {"n", "r", "alpha", "variant"},
+    "parity": {"r"},
+    "example3": set(),
+}
+CONSTRUCT_VALUES = {"n": "4", "r": "3", "alpha": "2", "variant": "split"}
+
+
+def test_construct_options_cover_the_registry():
+    assert set(CONSTRUCT_OPTIONS) == set(named_codes())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["example1", "--n", "7"], "example1 does not take --n"),
+        (["parity", "--r", "3", "--alpha", "2"], "parity does not take --alpha"),
+        # several at once are named together, in option order
+        (["rbt-mbr", "--variant", "copy", "--r", "2"], "rbt-mbr does not take --r, --variant"),
+    ],
+)
+def test_construct_rejects_options_its_family_does_not_take(capsys, argv, message):
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out, err) == (EXIT_PARSE, "", f"bad parameters: {message}\n")
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_OPTIONS))
+def test_construct_rejects_every_option_it_does_not_take(capsys, name):
+    for option in CONSTRUCT_VALUES:
+        if option not in CONSTRUCT_OPTIONS[name]:
+            argv = ["construct", name, f"--{option}", CONSTRUCT_VALUES[option]]
+            assert run(capsys, *argv) == (
+                EXIT_PARSE, "", f"bad parameters: {name} does not take --{option}\n"
+            )
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_OPTIONS))
+def test_construct_given_defaults_match_left_out_ones(capsys, name):
+    defaults = {"n": "4", "r": "3", "variant": "split"}  # alpha is unset by default
+    bare = run(capsys, "construct", name)
+    taken = sorted(CONSTRUCT_OPTIONS[name] & set(defaults))
+    given = [arg for o in taken for arg in (f"--{o}", defaults[o])]
+    assert bare[0] == EXIT_OK
+    assert run(capsys, "construct", name, *given) == bare
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -264,6 +313,62 @@ def test_basis_row_written_as_list_is_parse_error(tmp_path, capsys, command, nam
     code, out, err = run(capsys, command, str(path))
     assert code == EXIT_PARSE
     assert err.startswith("parse error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_node_written_as_one_string_is_parse_error(tmp_path, capsys, command):
+    # "1" must not be read as a node with the single row "1"
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"format_version": 1, "nodes": ["1", "1"]}))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (
+        "parse error: bad node basis: a matrix must be a list of 0/1 strings, not the string '1'\n"
+    )
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def breakage(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return breakage
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_set("format_version", True), "unsupported format_version True"),
+        (_set("format_version", 1.0), "unsupported format_version 1.0"),
+        (_set("m", 4.0), "m must be an integer, got 4.0"),
+        (_set("n", "4"), "n must be an integer, got '4'"),
+        (_set("alpha", True), "alpha must be an integer, got True"),
+        (_set("declared", {"k": 2.9, "r": 3.2, "beta": 1.5}),
+         "bad declared parameters: k must be an integer, got 2.9"),
+        (_set("declared", "r", "3"), "bad declared parameters: r must be an integer, got '3'"),
+        (_set("declared", "beta", True),
+         "bad declared parameters: beta must be an integer, got True"),
+        (_set("repair_plans", "0", "beta", 1.7),
+         "bad repair plan for node 0: beta must be an integer, got 1.7"),
+        (_set("repair_plans", "0", "helpers", [True, 2, 3]),
+         "bad repair plan for node 0: a helper must be an integer, got True"),
+        (_set("repair_plans", "0", "helpers", [1, 1, 2, 3]),
+         "bad repair plan for node 0: a helper is listed more than once"),
+    ],
+)
+def test_non_integer_fields_and_repeated_helpers_are_parse_errors(
+    tmp_path, capsys, command, breakage, message
+):
+    path = write_code(tmp_path, capsys, "example1")
+    doc = json.loads(path.read_text())
+    breakage(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
 
 
 FUZZ_VALUES = [None, 0, 1, 7, -1, 2**70, "", "1", "0110", "x", [], ["1"], [0], {}, {"1": "0"}]

@@ -69,6 +69,12 @@ def test_loads_rejects_wrong_version():
     assert "format_version" in str(err.value)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_loads_rejects_a_version_that_is_not_an_integer(version):
+    with pytest.raises(codefile.CodeFileError, match="unsupported format_version"):
+        codefile.loads(json.dumps({"format_version": version, "mode": "exact", "nodes": [["1"]]}))
+
+
 def test_loads_rejects_mismatched_header():
     named = example1()
     doc = json.loads(codefile.dumps(codefile.from_named_code(named)))

@@ -180,6 +180,12 @@ def test_repair_plan_rejects_self_help():
         RepairPlan(0, (0, 1), {0: Subspace.zero(2), 1: Subspace.zero(2)}, 1)
 
 
+def test_repair_plan_rejects_repeated_helpers():
+    s = Subspace.spanned_by(2, [BitVector.from_string("10")])
+    with pytest.raises(CodeError, match="more than once"):
+        RepairPlan(0, (1, 1, 2), {1: s, 2: s}, 1)
+
+
 def test_repair_plan_space_keys_must_match_helpers():
     s = Subspace.spanned_by(2, [BitVector.from_string("10")])
     with pytest.raises(CodeError):

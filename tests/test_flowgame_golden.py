@@ -105,3 +105,27 @@ def test_capped_verify_theorem_is_pinned(case, cap):
     else:
         rep = verify_theorem(*case, 2 * case[1], memo_cap=cap)
         assert (rep.to_record(), rep.capped) == (expected, False)
+
+
+# verify_theorem("r2", 7, 2, 2, 1, h) below the certifying horizon 4: no
+# probe meets the formula 7, so the record gives the exact value at h.
+BELOW_TARGET = {
+    1: (12, "kill:6 rebuild:0,1"),
+    2: (10, "kill:6 rebuild:0,1 kill:5 rebuild:0,1"),
+    3: (8, "kill:6 rebuild:0,1 kill:5 rebuild:0,1 kill:4 rebuild:0,1"),
+}
+
+
+@pytest.mark.parametrize("horizon", sorted(BELOW_TARGET))
+def test_verify_theorem_below_the_certifying_horizon_is_pinned(horizon):
+    value, moves = BELOW_TARGET[horizon]
+    rep = verify_theorem("r2", 7, 2, 2, 1, horizon)
+    assert (rep.to_record(), rep.capped) == (
+        f"case=r2 n=7 r=2 alpha=2 beta=1 horizon={horizon} value={value} formula=7 "
+        f"holds=0 tight=0 line={moves}",
+        False,
+    )
+    exact = minimax(make_game(7, 2, 2, 1), horizon)
+    assert (exact.value, exact.horizon, exact.principal_line) == (
+        value, horizon, rep.principal_line
+    )

@@ -100,6 +100,9 @@ def test_from_string_rejects_non_strings():
             BitVector.from_string(value)
     with pytest.raises(TypeError):
         BitMatrix.from_strings([["1", "0"], ["0", "1"]])
+    # nor is one string a matrix of one-character rows
+    with pytest.raises(TypeError):
+        BitMatrix.from_strings("101")
 
 
 def test_mat_vec_is_rowwise_parity():
