@@ -9,8 +9,9 @@ entry under "spec", and its nodes are the initial bases.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .codes import CodeError, CodeParams, RepairPlan, StorageCode, validate
 from .constructions import FunctionalSpec, NamedCode, named_codes
@@ -94,9 +95,26 @@ def _int(value: object, field: str) -> int:
     return value
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object's members, refusing a key given twice."""
+    doc: Dict[str, object] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CodeFileError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _node(key: str) -> int:
+    """A node number written as a JSON key: canonical decimal only."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise CodeFileError(f"node key {key!r} is not a canonical decimal integer")
+    return int(key)
+
+
 def loads(text: str) -> CodeFile:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CodeFileError(f"line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -117,7 +135,14 @@ def loads(text: str) -> CodeFile:
     except (ValueError, TypeError) as exc:
         raise CodeFileError(f"bad node basis: {exc}") from exc
 
+    for key, value in (("m", code.message_dim), ("n", code.n), ("alpha", code.alpha)):
+        if key in doc and _int(doc[key], key) != value:
+            raise CodeFileError(f"declared {key} = {doc[key]} does not match the node bases")
+
     if spec is not None:
+        for key in ("repair_plans", "declared"):
+            if key in doc:
+                raise CodeFileError(f"a functional code file takes no {key!r}")
         if code.n != spec.node_count:
             raise CodeFileError(f"functional file needs {spec.node_count} node bases")
         try:
@@ -126,11 +151,6 @@ def loads(text: str) -> CodeFile:
             raise CodeFileError(str(exc)) from exc
         return CodeFile(name, code, spec=spec)
 
-    for key in ("m", "n", "alpha"):
-        if key in doc and _int(doc[key], key) != getattr(
-            code, {"m": "message_dim", "n": "n", "alpha": "alpha"}[key]
-        ):
-            raise CodeFileError(f"declared {key} = {doc[key]} does not match the node bases")
     problems = validate(code)
     if problems:
         raise CodeFileError("code does not validate: " + "; ".join(problems))
@@ -141,14 +161,14 @@ def loads(text: str) -> CodeFile:
             raise CodeFileError("'repair_plans' must be an object")
         plans = {}
         for key, entry in doc["repair_plans"].items():
+            failed = _node(key)
             try:
-                failed = int(key)
                 helpers = tuple(_int(h, "a helper") for h in entry["helpers"])
                 beta = _int(entry["beta"], "beta")
                 if not isinstance(entry["spaces"], dict):
                     raise TypeError("'spaces' must be an object")
                 spaces = {
-                    int(h): Subspace.spanned_by(
+                    _node(h): Subspace.spanned_by(
                         code.message_dim,
                         BitMatrix.from_strings(rows).rows,
                     )

@@ -20,7 +20,7 @@ from .codes import (
     validate,
     validate_plan,
 )
-from .gf2 import BitMatrix, BitVector, Subspace, _rref_words
+from .gf2 import BitMatrix, BitVector, Subspace, _reduce, _rref_words
 
 MAX_RBT_NODES = 11  # C(n,2) must fit the 64-bit vector packing
 
@@ -44,8 +44,10 @@ class NamedCode:
 class FunctionalSpec:
     """A decidable predicate bundle over node-subspace assignments.
 
-    Each rule (name, t, pred) requires every t-subset of the storage
-    spaces to satisfy pred, which takes a t-tuple of subspaces.
+    Each rule (name, t, test) requires every t-subset of the storage
+    spaces to pass test(prefix, words): prefix is the RREF of the sum of
+    t-1 of the spaces, words the basis words of the last one.  The split
+    lets admitter reduce the survivors' prefixes once per repair.
     """
 
     name: str
@@ -53,7 +55,7 @@ class FunctionalSpec:
     node_count: int
     node_dim: int
     beta: int
-    rules: Tuple[Tuple[str, int, Callable[[Tuple[Subspace, ...]], bool]], ...]
+    rules: Tuple[Tuple[str, int, Callable[[Sequence[int], Sequence[int]], bool]], ...]
 
     def violations(self, spaces: Sequence[Subspace]) -> List[str]:
         """Rule names violated by the given collection of subspaces."""
@@ -63,8 +65,11 @@ class FunctionalSpec:
                 return [f"ambient dimension {space.ambient_dim} != {self.ambient_dim}"]
             if space.dim != self.node_dim:
                 out.append(f"a storage space has dim {space.dim}, expected {self.node_dim}")
-        for name, t, pred in self.rules:
-            if not all(pred(subset) for subset in combinations(spaces, t)):
+        for name, t, test in self.rules:
+            if not all(
+                test(_sum_rref(subset[:-1]), subset[-1].basis.words())
+                for subset in combinations(spaces, t)
+            ):
                 out.append(name)
         return out
 
@@ -88,20 +93,33 @@ class FunctionalSpec:
     def satisfied(self, spaces: Sequence[Subspace]) -> bool:
         return not self.violations(spaces)
 
-    def admits(self, others: Sequence[Subspace], new: Subspace) -> bool:
-        """Whether others plus new satisfy the spec, given that others do.
+    def admitter(self, others: Sequence[Subspace]) -> Callable[[Sequence[int]], bool]:
+        """A predicate on a candidate's RREF basis words: whether others
+        plus the candidate satisfy the spec, given that others do.
 
         Precondition: others already satisfy the spec.  Then only the
-        subsets that contain new can fail, so only those are checked,
-        and the check stops at the first failure.
+        subsets that contain the candidate can fail, so only those are
+        checked, each against its other spaces' sum reduced here once,
+        and the check stops at the first failure.  The candidate must
+        have node_dim dimensions in the spec's ambient space.
         """
+        checks = [
+            (test, _sum_rref(subset))
+            for _, t, test in self.rules
+            for subset in combinations(others, t - 1)
+        ]
+        return lambda words: all(test(prefix, words) for test, prefix in checks)
+
+    def admits(self, others: Sequence[Subspace], new: Subspace) -> bool:
+        """Whether others plus new satisfy the spec, given that others do."""
         if new.ambient_dim != self.ambient_dim or new.dim != self.node_dim:
             return False
-        return all(
-            pred(subset + (new,))
-            for _, t, pred in self.rules
-            for subset in combinations(others, t - 1)
-        )
+        return self.admitter(others)(new.basis.words())
+
+
+def _sum_rref(spaces: Sequence[Subspace]) -> List[int]:
+    """The RREF basis words of the sum of spaces."""
+    return _rref_words(w for space in spaces for w in space.basis.words())
 
 
 def _verify(named: NamedCode) -> NamedCode:
@@ -283,17 +301,29 @@ def repetition_variants(n: int, r: int, alpha: Optional[int] = None) -> List[Nam
     return out
 
 
-def _trivial_meet(pair: Tuple[Subspace, ...]) -> bool:
-    # A and B meet only in 0 iff dim(A + B) = dim A + dim B, that is iff
-    # their bases together are independent.
-    a, b = pair
-    rows = a.basis.words() + b.basis.words()
-    return len(_rref_words(rows)) == len(rows)
+def _added_rank(prefix: Sequence[int], words: Sequence[int]) -> int:
+    """The rank words add to the span of prefix, which must be in RREF.
+
+    Each word is reduced by the prefix pivots, then by the words kept
+    so far; whatever is left is kept, and is zero at every earlier
+    pivot, as _reduce needs.
+    """
+    rows = [*prefix]
+    for w in words:
+        w = _reduce(rows, w)
+        if w:
+            rows.append(w)
+    return len(rows) - len(prefix)
 
 
-def _spans(subset: Tuple[Subspace, ...]) -> bool:
-    rows = [w for space in subset for w in space.basis.words()]
-    return len(_rref_words(rows)) == subset[0].ambient_dim
+def _trivial_meet(prefix: Sequence[int], words: Sequence[int]) -> bool:
+    # A and B meet only in 0 iff dim(A + B) = dim A + dim B.
+    return _added_rank(prefix, words) == len(words)
+
+
+def _spans(m: int) -> Callable[[Sequence[int], Sequence[int]], bool]:
+    """The rule test: prefix and words together span GF(2)^m."""
+    return lambda prefix, words: len(prefix) + _added_rank(prefix, words) == m
 
 
 def example3_spec() -> FunctionalSpec:
@@ -310,7 +340,7 @@ def example3_spec() -> FunctionalSpec:
         beta=1,
         rules=(
             ("any two storage spaces intersect trivially", 2, _trivial_meet),
-            ("any three storage spaces span the message space", 3, _spans),
+            ("any three storage spaces span the message space", 3, _spans(5)),
         ),
     )
 

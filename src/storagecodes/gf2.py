@@ -161,7 +161,8 @@ class BitMatrix:
 def _reduce(basis: Sequence[int], word: int) -> int:
     """Clear the basis rows' pivots from word; 0 iff word is in their span.
 
-    Each row's pivot (its lowest set bit) must be zero in every other row.
+    Each row's pivot (its lowest set bit) must be zero in every row
+    after it, as in RREF or in rows each reduced by those before it.
     """
     for row in basis:
         if word & row & -row:

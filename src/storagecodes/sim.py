@@ -290,9 +290,10 @@ def functional_repair(state: SystemState, failed: int) -> None:
     satisfying the specification wins, making repairs replayable.
 
     The search runs on int words.  Within one repair the survivors are
-    fixed, so a verdict depends on the candidate alone, and whether a
-    span holds an admitted candidate on the span alone; both are
-    memoised, since different picks often span the same space.  The
+    fixed, so the spec's rule subsets of survivors are reduced once
+    (spec.admitter), a verdict depends on the candidate alone, and
+    whether a span holds an admitted candidate on the span alone; both
+    are memoised, since different picks often span the same space.  The
     first span that holds one ends the search.
     """
     if not isinstance(state.rule, FunctionalRepair):
@@ -305,9 +306,10 @@ def functional_repair(state: SystemState, failed: int) -> None:
     if len(survivors) != spec.node_count - 1:
         raise SimulationError("exactly one node may be failed at a time")
     survivor_spaces = [Subspace.from_matrix(state.bases[i]) for i in survivors]
-    # This check is the precondition of spec.admits below.
+    # This check is the precondition of spec.admitter below.
     if spec.violations(survivor_spaces):
         raise SimulationError("survivors no longer satisfy the specification")
+    admits = spec.admitter(survivor_spaces)
 
     survivor_vectors = [
         sorted((v.word for v in space.vectors() if v.word), key=lambda w: _word_text(w, m))
@@ -318,7 +320,7 @@ def functional_repair(state: SystemState, failed: int) -> None:
 
     def admitted(cand: Tuple[int, ...]) -> bool:
         if cand not in verdicts:
-            verdicts[cand] = spec.admits(survivor_spaces, Subspace._canonical(m, cand))
+            verdicts[cand] = admits(cand)
             state.spec_checks += 1
         return verdicts[cand]
 

@@ -371,6 +371,112 @@ def test_non_integer_fields_and_repeated_helpers_are_parse_errors(
     assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
 
 
+def _rename(*path_and_keys):
+    *path, old, new = path_and_keys
+
+    def breakage(doc):
+        for step in path:
+            doc = doc[step]
+        doc[new] = doc.pop(old)
+
+    return breakage
+
+
+def _add_alias(doc):
+    # "00" beside "0" must not collapse into one plan for node 0
+    doc["repair_plans"]["00"] = doc["repair_plans"]["0"]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_rename("repair_plans", "0", " 00"), "node key ' 00' is not a canonical decimal integer"),
+        (_rename("repair_plans", "1", "01"), "node key '01' is not a canonical decimal integer"),
+        (_rename("repair_plans", "2", "+2"), "node key '+2' is not a canonical decimal integer"),
+        (_rename("repair_plans", "3", "\uff13"),
+         "node key '\uff13' is not a canonical decimal integer"),
+        (_rename("repair_plans", "0", "spaces", "1", "01"),
+         "bad repair plan for node 0: node key '01' is not a canonical decimal integer"),
+        (_rename("repair_plans", "0", "spaces", "2", "2 "),
+         "bad repair plan for node 0: node key '2 ' is not a canonical decimal integer"),
+        (_add_alias, "node key '00' is not a canonical decimal integer"),
+    ],
+)
+def test_non_canonical_node_keys_are_parse_errors(tmp_path, capsys, command, breakage, message):
+    path = write_code(tmp_path, capsys, "example1")
+    doc = json.loads(path.read_text())
+    breakage(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
+
+
+def _plan_0_twice(broken_first):
+    """example1's file text with a second plan 0 that cannot repair node 0."""
+
+    def breakage(text):
+        doc = json.loads(text)
+        plans = doc["repair_plans"]
+        broken = json.loads(json.dumps(plans["0"]))
+        broken["spaces"]["3"] = ["0010"]  # not inside node 3
+        first, second = (broken, plans.pop("0")) if broken_first else (plans.pop("0"), broken)
+        doc["repair_plans"] = {"0": first, "second": second, **plans}
+        return json.dumps(doc).replace('"second":', '"0":')
+
+    return breakage
+
+
+def _top_level_twice(text):
+    return text.replace('"format_version": 1,', '"format_version": 1, "format_version": 1,', 1)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "breakage, key",
+    [(_plan_0_twice(True), "0"), (_plan_0_twice(False), "0"), (_top_level_twice, "format_version")],
+    ids=["broken-plan-first", "broken-plan-last", "top-level"],
+)
+def test_repeated_keys_are_parse_errors(tmp_path, capsys, command, breakage, key):
+    # json.loads alone keeps the last of two equal keys, so the verdict
+    # would depend on which copy of plan 0 comes last
+    path = write_code(tmp_path, capsys, "example1")
+    path.write_text(breakage(path.read_text()))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: duplicate key {key!r}\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("m", 9, "declared m = 9 does not match the node bases"),
+        ("n", 3, "declared n = 3 does not match the node bases"),
+        ("alpha", 1, "declared alpha = 1 does not match the node bases"),
+        ("m", 5.0, "m must be an integer, got 5.0"),
+        ("repair_plans", {}, "a functional code file takes no 'repair_plans'"),
+        ("declared", {"k": 3, "r": 3, "beta": 1}, "a functional code file takes no 'declared'"),
+    ],
+)
+def test_functional_file_fields_are_checked(tmp_path, capsys, command, field, value, message):
+    path = write_code(tmp_path, capsys, "example3")
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
+
+
+def test_functional_file_may_state_matching_dimensions(tmp_path, capsys):
+    path = write_code(tmp_path, capsys, "example3")
+    doc = json.loads(path.read_text())
+    doc.update(m=5, n=4, alpha=2)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "m: 5" in out
+
+
 FUZZ_VALUES = [None, 0, 1, 7, -1, 2**70, "", "1", "0110", "x", [], ["1"], [0], {}, {"1": "0"}]
 
 

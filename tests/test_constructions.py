@@ -217,7 +217,7 @@ def test_pairwise_trivial_matches_intersection_oracle():
         spaces = [s for d in range(m + 1) for s in enumerate_subspaces(m, d)]
         for a, b in combinations(spaces, 2):
             meet = {v.word for v in a.vectors()} & {v.word for v in b.vectors()}
-            trivial = _trivial_meet((a, b))
+            trivial = _trivial_meet(a.basis.words(), b.basis.words())
             assert trivial == subspace_intersect(a, b).is_zero() == (meet == {0})
 
 
@@ -247,19 +247,22 @@ def test_spec_rules_ignore_lists_shorter_than_their_subsets():
     assert spec.violations(overlapping) == ["any two storage spaces intersect trivially"]
 
 
-def _reached_survivor_triples(repairs, seed):
-    """Every survivor triple met during seeded repairs, each once."""
-    spec = example3_spec()
-    state = encode_functional(spec, example3_initial_bases(), BitVector(5, 0b10110))
+def reached_survivor_sets(spec, bases, repairs, seed):
+    """Every set of survivors met during seeded repairs, each once.
+
+    The message does not steer functional repair, so any one will do.
+    """
+    m = spec.ambient_dim
+    state = encode_functional(spec, bases, BitVector(m, 0b10110 & ((1 << m) - 1)))
     rng = random.Random(seed)
-    triples = {}
+    seen = {}
     for _ in range(repairs):
-        victim = rng.randrange(4)
+        victim = rng.randrange(spec.node_count)
         others = tuple(s for i, s in enumerate(state.subspaces()) if i != victim)
-        triples.setdefault(others, None)
+        seen.setdefault(others, None)
         fail(state, victim)
         functional_repair(state, victim)
-    return list(triples)
+    return list(seen)
 
 
 def test_admits_matches_full_spec_check():
@@ -274,7 +277,7 @@ def test_admits_matches_full_spec_check():
         Subspace.spanned_by(4, [BitVector.from_string(t) for t in ("1000", "0100")]),
     ]
     verdicts = set()
-    for others in _reached_survivor_triples(200, 7):
+    for others in reached_survivor_sets(spec, example3_initial_bases(), 200, 7):
         assert spec.satisfied(list(others))
         for cand in candidates:
             verdict = spec.admits(others, cand)

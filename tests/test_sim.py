@@ -256,13 +256,18 @@ def _trace_counts(state):
 
 def test_functional_counters_equal_trace_values(monkeypatch):
     checked = []
-    original = FunctionalSpec.admits
+    original = FunctionalSpec.admitter
 
-    def admits(self, others, new):
-        checked.append(tuple(new.basis.words()))
-        return original(self, others, new)
+    def admitter(self, others):
+        admits = original(self, others)
 
-    monkeypatch.setattr(FunctionalSpec, "admits", admits)
+        def recorded(words):
+            checked.append(tuple(words))
+            return admits(words)
+
+        return recorded
+
+    monkeypatch.setattr(FunctionalSpec, "admitter", admitter)
     state, spec, x = fresh_functional()
     rng = random.Random(4)
     for _ in range(60):
@@ -278,8 +283,8 @@ def test_functional_counters_equal_trace_values(monkeypatch):
 
 def test_functional_spec_checks_are_pinned():
     # The benchmark marathon's inputs at seed 0.  28 603 distinct
-    # candidates go to spec.admits; skipping spans already searched must
-    # not change that.
+    # candidates go to the spec's admitter predicate; skipping spans
+    # already searched must not change that.
     spec = example3_spec()
     rng = random.Random(0)
     x = BitVector(5, 1 + rng.randrange(31))

@@ -11,6 +11,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from test_constructions import reached_survivor_sets
 
 from storagecodes.constructions import (
     FunctionalSpec,
@@ -19,7 +20,15 @@ from storagecodes.constructions import (
     example3_initial_bases,
     example3_spec,
 )
-from storagecodes.gf2 import BitMatrix, BitVector, Subspace, enumerate_subspaces, subspaces_of
+from storagecodes.gf2 import (
+    BitMatrix,
+    BitVector,
+    Subspace,
+    _reduce,
+    enumerate_subspaces,
+    subspace_sum,
+    subspaces_of,
+)
 from storagecodes.sim import StuckError, encode_functional, fail, functional_repair
 
 
@@ -71,8 +80,11 @@ def test_functional_repair_matches_reference_on_example3(seed):
     check_rounds(example3_spec(), example3_initial_bases(), seed, 110)
 
 
-def _avoids_e0(single):
-    return not single[0].contains(BitVector(single[0].ambient_dim, 1))
+def _avoids_e0(prefix, words):
+    # t = 1, so prefix is empty; words are in RREF, so reducing e0 by
+    # their pivots leaves 0 iff e0 is in their span.
+    assert prefix == []
+    return _reduce(words, 1) != 0
 
 
 # m=4 with a rule on single spaces beside pairwise trivial meets.
@@ -141,6 +153,11 @@ def _sums(subset):
     return words
 
 
+def _rule(test, subset):
+    """A rule test on a subset: its first spaces' sum, then the last basis."""
+    return test(subspace_sum(list(subset[:-1])).basis.words(), subset[-1].basis.words())
+
+
 def test_rank_rules_match_vector_counts():
     # A and B meet trivially iff their 2^a * 2^b pairwise sums are distinct;
     # a subset spans iff its sums reach all 2^m vectors.
@@ -148,13 +165,36 @@ def test_rank_rules_match_vector_counts():
         spaces = _all_subspaces(m)
         for pair in combinations(spaces, 2):
             a, b = pair
-            assert _trivial_meet(pair) == (len(_sums(pair)) == len(_vectors(a)) * len(_vectors(b)))
-            assert _spans(pair) == (len(_sums(pair)) == 1 << m)
+            assert _rule(_trivial_meet, pair) == (
+                len(_sums(pair)) == len(_vectors(a)) * len(_vectors(b))
+            )
+            assert _rule(_spans(m), pair) == (len(_sums(pair)) == 1 << m)
     for m in range(1, 4):
         for triple in combinations(_all_subspaces(m), 3):
-            assert _spans(triple) == (len(_sums(triple)) == 1 << m)
+            assert _rule(_spans(m), triple) == (len(_sums(triple)) == 1 << m)
     rng = random.Random(3)
     spaces = _all_subspaces(5)
     for _ in range(2000):
         triple = tuple(rng.sample(spaces, 3))
-        assert _spans(triple) == (len(_sums(triple)) == 1 << 5)
+        assert _rule(_spans(5), triple) == (len(_sums(triple)) == 1 << 5)
+
+
+@pytest.mark.parametrize(
+    "spec, bases, count",
+    [(example3_spec(), example3_initial_bases(), 155), (SPEC_M4, SPEC_M4_BASES, 35)],
+    ids=["example3", "m4"],
+)
+def test_admitter_matches_full_spec_check(spec, bases, count):
+    # The prepared predicate reduces the survivor subsets once (t = 1, 2
+    # and 3 between the two specs); the full check of all four spaces
+    # is the oracle, on every two-dimensional candidate.
+    candidates = list(enumerate_subspaces(spec.ambient_dim, 2))
+    assert len(candidates) == count
+    verdicts = set()
+    for others in reached_survivor_sets(spec, bases, 200, 7):
+        admits = spec.admitter(others)
+        for cand in candidates:
+            verdict = admits(cand.basis.words())
+            assert verdict == spec.satisfied(list(others) + [cand])
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
