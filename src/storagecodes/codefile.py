@@ -3,7 +3,8 @@
 Every file carries per-node basis rows as '0'/'1' strings (coordinate 0
 first).  An exact code adds optional canonical repair plans and
 optional declared parameters; a functional code names its registry
-entry under "spec", and its nodes are the initial bases.
+entry under "spec", and its nodes are the initial bases.  A key that
+the file's mode does not take is an error, at every level.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ from .constructions import FunctionalSpec, NamedCode, named_codes
 from .gf2 import BitMatrix, Subspace
 
 FORMAT_VERSION = 1
+
+_COMMON_FIELDS = ("format_version", "mode", "name", "nodes", "m", "n", "alpha")
+# mode -> (the top-level keys a file in that mode takes, what it is called)
+_FIELDS = {
+    "exact": (_COMMON_FIELDS + ("declared", "repair_plans"), "an exact code file"),
+    "functional": (_COMMON_FIELDS + ("spec",), "a functional code file"),
+}
 
 
 class CodeFileError(ValueError):
@@ -105,6 +113,16 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
     return doc
 
 
+def _fields(obj: object, keys: Tuple[str, ...], what: str) -> Dict[str, object]:
+    """obj if it is a JSON object with no key outside keys."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be an object")
+    for key in obj:
+        if key not in keys:
+            raise CodeFileError(f"{what} takes no {key!r}")
+    return obj
+
+
 def _node(key: str) -> int:
     """A node number written as a JSON key: canonical decimal only."""
     if not re.fullmatch(r"0|[1-9][0-9]*", key):
@@ -127,6 +145,7 @@ def loads(text: str) -> CodeFile:
     spec = _functional_spec(doc.get("spec")) if mode == "functional" else None
     if spec is None and mode != "exact":
         raise CodeFileError(f"unknown mode {mode!r}")
+    _fields(doc, *_FIELDS[mode])
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise CodeFileError("missing or empty 'nodes'")
@@ -140,9 +159,6 @@ def loads(text: str) -> CodeFile:
             raise CodeFileError(f"declared {key} = {doc[key]} does not match the node bases")
 
     if spec is not None:
-        for key in ("repair_plans", "declared"):
-            if key in doc:
-                raise CodeFileError(f"a functional code file takes no {key!r}")
         if code.n != spec.node_count:
             raise CodeFileError(f"functional file needs {spec.node_count} node bases")
         try:
@@ -163,6 +179,7 @@ def loads(text: str) -> CodeFile:
         for key, entry in doc["repair_plans"].items():
             failed = _node(key)
             try:
+                entry = _fields(entry, ("helpers", "beta", "spaces"), "a repair plan")
                 helpers = tuple(_int(h, "a helper") for h in entry["helpers"])
                 beta = _int(entry["beta"], "beta")
                 if not isinstance(entry["spaces"], dict):
@@ -180,8 +197,8 @@ def loads(text: str) -> CodeFile:
 
     declared: Optional[CodeParams] = None
     if "declared" in doc:
-        d = doc["declared"]
         try:
+            d = _fields(doc["declared"], ("k", "r", "beta"), "'declared'")
             declared = CodeParams(
                 code.message_dim,
                 code.n,

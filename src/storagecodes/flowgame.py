@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from . import bounds
 
@@ -60,6 +60,8 @@ def kill(g: FlowGraph, node: int) -> FlowGraph:
 
 def rebuild(g: FlowGraph, helpers: Iterable[int], alpha: int, beta: int) -> FlowGraph:
     """Add a new live incarnation fed by beta-edges from the given helpers."""
+    if alpha < 1 or beta < 1:
+        raise ValueError("alpha and beta must be positive")
     helper_ids = tuple(sorted(set(helpers)))
     for h in helper_ids:
         if h not in g.live:
@@ -116,14 +118,8 @@ def _max_flow(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int
         flow += pushed
 
 
-def build_flow_network(
-    g: FlowGraph, collect_on: Optional[Sequence[int]] = None
-) -> Tuple[int, List[Tuple[int, int, int]], int, int]:
+def build_flow_network(g: FlowGraph) -> Tuple[int, List[Tuple[int, int, int]], int, int]:
     """Vertex count, edge list, source, sink; unbounded edges exceed all finite ones together."""
-    collect = sorted(g.live) if collect_on is None else sorted(set(collect_on))
-    for i in collect:
-        if not 0 <= i < len(g.nodes):
-            raise ValueError(f"collector target {i} does not exist")
     n = len(g.nodes)
     source, sink = 0, 1
     vin = lambda i: 2 + 2 * i
@@ -140,18 +136,14 @@ def build_flow_network(
         else:
             edges.append((source, vin(i), unbounded))
         edges.append((vin(i), vout(i), inc.alpha))
-    for i in collect:
+    for i in sorted(g.live):
         edges.append((vout(i), sink, unbounded))
     return 2 + 2 * n, edges, source, sink
 
 
-def collector_value(g: FlowGraph, collect_on: Optional[Sequence[int]] = None) -> int:
-    """Max source-to-collector flow; the collector spans the live frontier.
-
-    Passing collect_on restricts the collector to an explicit set of
-    incarnations (used to replay the classic cutset-bound argument).
-    """
-    n_vertices, edges, s, t = build_flow_network(g, collect_on)
+def collector_value(g: FlowGraph) -> int:
+    """Max source-to-collector flow; the collector spans the live frontier."""
+    n_vertices, edges, s, t = build_flow_network(g)
     return _max_flow(n_vertices, edges, s, t)
 
 
@@ -159,9 +151,10 @@ def dimakis_cutset_value(n: int, k: int, r: int, alpha: int, beta: int) -> int:
     """Replay the classic worst-case repair sequence and read off its cut.
 
     k initial nodes fail one by one; newcomer j connects to all previous
-    newcomers plus r-j surviving initial nodes, and the collector is
-    restricted to the k newcomers.  The result reproduces the cutset
-    bound exactly.
+    newcomers plus r-j surviving initial nodes.  The surviving initial
+    nodes are then killed, so the collector reads the k newcomers only;
+    killed vertices stay in the DAG and still carry flow.  The result
+    reproduces the cutset bound exactly.
     """
     if not 1 <= k <= r <= n - 1:
         raise ValueError("need 1 <= k <= r <= n-1")
@@ -169,11 +162,12 @@ def dimakis_cutset_value(n: int, k: int, r: int, alpha: int, beta: int) -> int:
     newcomers: List[int] = []
     for j in range(k):
         g = kill(g, n - 1 - j)
-        live_initials = [i for i in range(n) if i in g.live and i < n]
-        helpers = newcomers + live_initials[: r - j]
-        g = rebuild(g, helpers, alpha, beta)
+        live_initials = [i for i in range(n) if i in g.live]
+        g = rebuild(g, newcomers + live_initials[: r - j], alpha, beta)
         newcomers.append(len(g.nodes) - 1)
-    return collector_value(g, collect_on=newcomers)
+    for i in range(n - k):
+        g = kill(g, i)
+    return collector_value(g)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +303,8 @@ class GameValue:
 def make_game(n: int, r: int, alpha: int, beta: int) -> GameState:
     if not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
+    if beta < 1:
+        raise ValueError("beta must be positive")
     return GameState(initial_graph(n, alpha), r, alpha, beta)
 
 
@@ -322,19 +318,19 @@ class _Searcher:
     fail-soft value with an EXACT/LOWER/UPPER flag plus the best
     continuation.  The memo cap counts the entries of both sides.
 
-    Moves are generated lazily and kept per labelled position, so that
-    iterative deepening and re-searches with another window resume
-    where an earlier visit stopped.  Kills are keyed one victim at a
-    time, and a kill whose killed-state key matches a kill already
-    found is skipped, so a cutoff after the first kill keys no further
-    victims.  Every caller hands `search` the position's key: `minimax`
-    keys the root once, and a rebuild child is built, and its key
-    computed, only when BUILDER first tries that helper set with a
-    round still to play after it; the key is stored beside the child,
-    so no child is keyed twice.  The child's first kill is its
-    newcomer, which nothing depends on yet; that kill has the killed
-    state's ancestor subgraph, so `search` also gets the killed state's
-    key and reuses it for that victim.
+    Moves are regenerated on every visit, so two memos keep iterative
+    deepening and re-searches with another window from repeating work:
+    `keys` holds the canonical key of every labelled graph keyed so far,
+    and `cuts` the collector value of every killed state by its key.  A
+    key encodes exactly the live nodes' ancestor subgraph, and that
+    subgraph is all the collector value depends on.  Kills are tried
+    newest victim first and keyed one at a time; a kill whose key matches
+    one already tried from the same position is skipped, so a cutoff
+    after the first kill keys no further victims.  A rebuild child is
+    built only when BUILDER tries its helper set with a round still to
+    play.  The child's first kill is its newcomer, which nothing depends
+    on yet; that kill has the killed state's ancestor subgraph, so it is
+    entered in `keys` with the killed state's key.
     """
 
     EXACT, LOWER, UPPER = 0, 1, 2
@@ -346,14 +342,8 @@ class _Searcher:
         self.beta = beta
         self.memo_cap = memo_cap
         self.table: Dict[Tuple[int, str, int], Tuple[float, int, Tuple[Move, ...]]] = {}
-        # Window-independent per-position move state, keyed by the labeled
-        # graph: the distinct kills found so far with the victims not yet
-        # tried, and the killed state's cut with one [helpers, child, child
-        # key] slot per rebuild (child unbuilt until first needed).
-        self.kill_cache: Dict[
-            FlowGraph, Tuple[List[Tuple[int, FlowGraph, str]], Iterator[int]]
-        ] = {}
-        self.cand_cache: Dict[FlowGraph, Tuple[int, List[list]]] = {}
+        self.keys: Dict[FlowGraph, str] = {}
+        self.cuts: Dict[str, int] = {}
 
     def _probe(
         self, entry: Tuple[int, str, int], lo: float, hi: float
@@ -383,70 +373,35 @@ class _Searcher:
         self.table[entry] = (best, flag, line)
         return best, line
 
-    def _kills(
-        self, g: FlowGraph, undo_key: Optional[str] = None
-    ) -> Iterator[Tuple[int, FlowGraph, str]]:
-        """Kills of g with distinct killed keys, newest victim first.
-
-        undo_key, if given, is the key of killing g's newest incarnation.
-        """
-        state = self.kill_cache.get(g)
-        if state is None:
-            victims = sorted(g.live, reverse=True)
-            found: List[Tuple[int, FlowGraph, str]] = []
-            if undo_key is not None:
-                newest = victims.pop(0)
-                found.append((newest, kill(g, newest), undo_key))
-            state = self.kill_cache[g] = (found, iter(victims))
-        found, victims = state
-        i = 0
-        while True:
-            if i == len(found):
-                for victim in victims:
-                    killed = kill(g, victim)
-                    kkey = canonical_key(killed)
-                    if all(kkey != known for _, _, known in found):
-                        found.append((victim, killed, kkey))
-                        break
-                else:
-                    return
-            yield found[i]
-            i += 1
-
-    def _candidates(self, g: FlowGraph) -> Tuple[int, List[list]]:
-        hit = self.cand_cache.get(g)
-        if hit is None:
-            hit = collector_value(g), [
-                [helpers, None, None] for helpers in combinations(sorted(g.live), self.r)
-            ]
-            self.cand_cache[g] = hit
-        return hit
+    def _key(self, g: FlowGraph) -> str:
+        key = self.keys.get(g)
+        if key is None:
+            key = self.keys[g] = canonical_key(g)
+        return key
 
     def search(
-        self,
-        g: FlowGraph,
-        rounds: int,
-        lo: float,
-        hi: float,
-        key: str,
-        undo_key: Optional[str] = None,
+        self, g: FlowGraph, rounds: int, lo: float, hi: float
     ) -> Tuple[float, Tuple[Move, ...]]:
         """Value of the next `rounds` >= 1 full rounds, KILLER to move.
 
         Fail-soft: a result <= lo is an upper bound on the true value and
         a result >= hi is a lower bound.  Returns the optimal minimum
         over collector values of the states visited after each rebuild.
-        key is g's canonical key; undo_key, when the caller has it, is
-        that of killing g's newest incarnation.
         """
-        entry = (self.KILLER, key, rounds)
+        entry = (self.KILLER, self._key(g), rounds)
         hit = self._probe(entry, lo, hi)
         if hit is not None:
             return hit
 
         best: float = _INF
         best_line: Tuple[Move, ...] = ()
-        for victim, killed, kkey in self._kills(g, undo_key):
+        tried = set()
+        for victim in sorted(g.live, reverse=True):
+            killed = kill(g, victim)
+            kkey = self._key(killed)
+            if kkey in tried:
+                continue
+            tried.add(kkey)
             value, line = self._builder(killed, rounds, lo, min(hi, best), kkey)
             if value < best:
                 best = value
@@ -465,11 +420,12 @@ class _Searcher:
         if hit is not None:
             return hit
 
-        cv, candidates = self._candidates(g)
+        cv = self.cuts.get(kkey)
+        if cv is None:
+            cv = self.cuts[kkey] = collector_value(g)
         best: float = -_INF
         best_line: Tuple[Move, ...] = ()
-        for slot in candidates:
-            helpers = slot[0]
+        for helpers in combinations(sorted(g.live), self.r):
             if cv <= max(lo, best):
                 # Below the window: every candidate is capped by cv, so
                 # report it as a fail-soft upper bound.
@@ -478,10 +434,9 @@ class _Searcher:
             if rounds == 1:
                 sub, line = _INF, ()  # no round left: the child is never looked at
             else:
-                if slot[1] is None:
-                    child = rebuild(g, helpers, self.alpha, self.beta)
-                    slot[1:] = child, canonical_key(child)
-                sub, line = self.search(slot[1], rounds - 1, max(lo, best), hi, slot[2], kkey)
+                child = rebuild(g, helpers, self.alpha, self.beta)
+                self.keys.setdefault(kill(child, len(g.nodes)), kkey)
+                sub, line = self.search(child, rounds - 1, max(lo, best), hi)
             value = min(cv, sub)
             if value > best:
                 best = value
@@ -500,10 +455,10 @@ def minimax(
     """Optimal-play value over at most `horizon` kill/rebuild rounds.
 
     One iterative-deepening loop searches depths 1..horizon from the
-    root, whose key is computed once.  If the memo cap is hit at some
-    depth, the deepest completed depth is returned (deepening
-    monotonicity makes any completed depth a valid upper-bound
-    certificate); if no depth has completed, CapExceededError is raised.
+    root.  If the memo cap is hit at some depth, the deepest completed
+    depth is returned (deepening monotonicity makes any completed depth
+    a valid upper-bound certificate); if no depth has completed,
+    CapExceededError is raised.
 
     With a target, each depth is first probed with a single null-window
     search, which is much cheaper than an exact evaluation.  Deepening
@@ -516,7 +471,6 @@ def minimax(
     if horizon < 1:
         raise ValueError("need horizon >= 1")
     memo_cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
-    root = canonical_key(state.graph)
     value = collector_value(state.graph)  # the start cut bounds every depth
     result: Optional[GameValue] = None
     searcher = _Searcher(state.r, state.alpha, state.beta, memo_cap)
@@ -527,17 +481,17 @@ def minimax(
         # bound; one final exact-band pass yields a genuine principal line.
         v = upper
         while v > 0:
-            got, _ = searcher.search(state.graph, depth, v - 1, v, root)
+            got, _ = searcher.search(state.graph, depth, v - 1, v)
             if got >= v:
                 break
             v = int(got)  # fail-soft upper bound; keep descending
-        got, line = searcher.search(state.graph, depth, v - 1, v + 1, root)
+        got, line = searcher.search(state.graph, depth, v - 1, v + 1)
         return min(v, int(got)), line
 
     for depth in range(1, horizon + 1):
         try:
             if target is not None:
-                probe, _ = searcher.search(state.graph, depth, target, target + 1, root)
+                probe, _ = searcher.search(state.graph, depth, target, target + 1)
                 if probe <= target:
                     value = int(probe)  # fail-soft upper bound, at most the start cut
                 else:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from storagecodes import codefile
 from storagecodes.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -475,6 +476,47 @@ def test_functional_file_may_state_matching_dimensions(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, err) == (EXIT_OK, "")
     assert "m: 5" in out
+
+
+def _misspell_plans(doc):
+    # a broken plan under the misspelled key must not pass unread
+    _break_stored_plan(doc)
+    doc["repair_plan"] = doc.pop("repair_plans")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "name, breakage, message",
+    [
+        ("example1", _set("comment", "x"), "an exact code file takes no 'comment'"),
+        ("example1", _misspell_plans, "an exact code file takes no 'repair_plan'"),
+        ("example1", _set("spec", "example3"), "an exact code file takes no 'spec'"),
+        ("example3", _set("comment", "x"), "a functional code file takes no 'comment'"),
+        ("example1", _set("declared", "d", 1), "bad declared parameters: 'declared' takes no 'd'"),
+        ("example1", _set("declared", [2, 3, 1]),
+         "bad declared parameters: 'declared' must be an object"),
+        ("example1", _set("repair_plans", "0", "note", "x"),
+         "bad repair plan for node 0: a repair plan takes no 'note'"),
+        ("example1", _set("repair_plans", "0", [[1, 2, 3], 1]),
+         "bad repair plan for node 0: a repair plan must be an object"),
+    ],
+    ids=["top-level", "misspelled-plans", "spec-in-exact", "top-level-functional",
+         "declared", "declared-not-object", "plan", "plan-not-object"],
+)
+def test_unknown_keys_are_parse_errors(tmp_path, capsys, command, name, breakage, message):
+    path = write_code(tmp_path, capsys, name)
+    doc = json.loads(path.read_text())
+    breakage(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_OPTIONS))
+def test_constructed_files_load_byte_identically(tmp_path, capsys, name):
+    path = write_code(tmp_path, capsys, name)
+    text = path.read_text()
+    assert codefile.dumps(codefile.loads(text)) == text
 
 
 FUZZ_VALUES = [None, 0, 1, 7, -1, 2**70, "", "1", "0110", "x", [], ["1"], [0], {}, {"1": "0"}]

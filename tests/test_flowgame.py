@@ -135,10 +135,10 @@ def test_rebuild_never_increases_value_beyond_pre_kill():
 
 
 def test_collector_restriction():
-    g = initial_graph(4, 2)
-    assert collector_value(g, collect_on=[0, 1]) == 4
-    with pytest.raises(ValueError):
-        collector_value(g, collect_on=[9])
+    # the collector reads only live nodes; killed ones keep their edges
+    g = kill(kill(initial_graph(4, 2), 2), 3)
+    assert collector_value(g) == 4
+    assert len(build_flow_network(g)[1]) == 2 * 4 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,18 @@ def test_canonical_key_depends_on_live_flags():
 def test_make_game_validates():
     with pytest.raises(ValueError):
         make_game(3, 3, 1, 1)  # r > n-1
+
+
+@pytest.mark.parametrize("beta", [0, -5])
+def test_nonpositive_capacities_are_rejected(beta):
+    # beta = 0 made minimax(make_game(4, 3, 2, 0), 3) return 2, and a
+    # negative beta made the collector value 0
+    with pytest.raises(ValueError, match="beta must be positive"):
+        make_game(4, 3, 2, beta)
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        rebuild(kill(initial_graph(3, 1), 2), [0, 1], 1, beta)
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        rebuild(kill(initial_graph(3, 1), 2), [0, 1], 0, 1)
 
 
 def test_minimax_validates():

@@ -15,6 +15,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storagecodes import flowgame
 from storagecodes.flowgame import (
     FlowGraph,
     Incarnation,
@@ -207,6 +208,17 @@ def test_killing_the_newcomer_restores_the_key():
 # collector_value
 
 
+def test_equal_keys_have_equal_collector_values(oracle_graphs):
+    # The searcher memoises max flows by the killed state's key, which is
+    # sound only if the key determines the collector value.
+    cuts: Dict[str, int] = {}
+    states = [s for g in oracle_graphs for s in [g] + [kill(g, v) for v in sorted(g.live)]]
+    for g in states:
+        value = collector_value(g)
+        assert cuts.setdefault(canonical_key(g), value) == value, g
+    assert len(states) - len(cuts) > 1000
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_rebuild_keeps_collector_value(rng):
@@ -304,6 +316,30 @@ GAMES = [
     for beta in (1, 2)
     for h in range(1, max_h + 1)
 ]
+
+
+def test_search_keys_no_graph_twice_and_runs_no_flow_twice(monkeypatch):
+    # Deepening and window re-searches revisit positions; the searcher's
+    # memos must keep them from keying a labelled graph again or running
+    # a max flow on a killed state isomorphic to one already cut.
+    keyed: List[FlowGraph] = []
+    cut: List[str] = []
+    key_of, value_of = flowgame.canonical_key, flowgame.collector_value
+
+    def counted_key(g):
+        keyed.append(g)
+        return key_of(g)
+
+    def counted_value(g):
+        cut.append(key_of(g))
+        return value_of(g)
+
+    monkeypatch.setattr(flowgame, "canonical_key", counted_key)
+    monkeypatch.setattr(flowgame, "collector_value", counted_value)
+    assert minimax(make_game(5, 2, 2, 1), 6).value == 5
+    assert len(keyed) > 500 and len(cut) > 200
+    assert len(keyed) - len(set(keyed)) == 0
+    assert len(cut) - len(set(cut)) == 0
 
 
 def test_minimax_matches_plain_minimax():
