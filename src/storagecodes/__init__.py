@@ -35,7 +35,6 @@ from .constructions import (
     example3_spec,
     rbt_mbr,
     repetition_code,
-    repetition_variants,
     single_parity,
 )
 from .bounds import (

@@ -118,18 +118,36 @@ def is_recovery_set(code: StorageCode, indices: Sequence[int]) -> bool:
 
 
 def recovery_dimension(code: StorageCode) -> int:
-    """Size of the smallest recovery set (searched by increasing size).
+    """Size of the smallest recovery set.
 
-    The search starts at ceil(m / largest node dimension): no smaller
-    set of nodes can span the message space.
+    Depth-first over the nodes in index order, on the RREF words of the
+    sum of the nodes chosen so far.  A node that adds no dimension to
+    that sum is skipped: no smallest recovery set holds it, as the set
+    without it spans the same space.  A branch is cut unless the nodes
+    left, each adding at most the largest node dimension, can reach m
+    with fewer nodes in all than the smallest set found so far.
     """
-    top = max((space.dim for space in code.subspaces), default=0)
-    lower = max(1, ceil(code.message_dim / top)) if top else code.n + 1
-    for size in range(lower, code.n + 1):
-        for subset in combinations(range(code.n), size):
-            if is_recovery_set(code, subset):
-                return size
-    raise CodeError("no recovery set exists; the code does not validate")
+    m = code.message_dim
+    spaces = [space.basis.words() for space in code.subspaces]
+    top = max(1, max(map(len, spaces), default=0))  # the largest node dimension
+    best = code.n + 1
+
+    def dfs(start: int, rows: List[int], size: int) -> None:
+        nonlocal best
+        need = ceil((m - len(rows)) / top)  # nodes still to add, at the least
+        for i in range(start, code.n + 1 - need):
+            if size + need >= best:
+                return
+            grown = _rref_words(spaces[i], rows)
+            if len(grown) == m:
+                best = size + 1
+            elif len(grown) > len(rows):
+                dfs(i + 1, grown, size + 1)
+
+    dfs(0, [], 0)
+    if best > code.n:
+        raise CodeError("no recovery set exists; the code does not validate")
+    return best
 
 
 def rate_and_overhead(code: StorageCode) -> Tuple[Fraction, Fraction]:
@@ -150,6 +168,8 @@ class RepairPlan:
 
     def __post_init__(self) -> None:
         self.helpers = tuple(sorted(self.helpers))
+        if not self.helpers:
+            raise CodeError("a repair plan needs at least one helper")
         if len(set(self.helpers)) != len(self.helpers):
             raise CodeError("a helper is listed more than once")
         if self.failed in self.helpers:

@@ -291,16 +291,6 @@ def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = 
     return _verify(named)
 
 
-def repetition_variants(n: int, r: int, alpha: Optional[int] = None) -> List[NamedCode]:
-    """Every applicable repair variant of the repetition code."""
-    alpha = r if alpha is None else alpha
-    out = []
-    if alpha % r == 0:
-        out.append(repetition_code(n, r, alpha, "split"))
-    out.append(repetition_code(n, r, alpha, "copy"))
-    return out
-
-
 def _added_rank(prefix: Sequence[int], words: Sequence[int]) -> int:
     """The rank words add to the span of prefix, which must be in RREF.
 

@@ -60,10 +60,6 @@ class BitVector:
     def unit(cls, length: int, index: int) -> "BitVector":
         return cls(length, 1 << index)
 
-    @classmethod
-    def zero(cls, length: int) -> "BitVector":
-        return cls(length, 0)
-
     def to_string(self) -> str:
         return _word_text(self.word, self.length)
 
@@ -72,17 +68,6 @@ class BitVector:
 
     def is_zero(self) -> bool:
         return self.word == 0
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.word ^ other.word)
-
-    def dot(self, other: "BitVector") -> int:
-        """Inner product over GF(2) (parity of the AND)."""
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return (self.word & other.word).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -101,6 +86,8 @@ class BitMatrix:
     def from_strings(cls, texts: Sequence[str]) -> "BitMatrix":
         if isinstance(texts, str):
             raise TypeError(f"a matrix must be a list of 0/1 strings, not the string {texts!r}")
+        if not isinstance(texts, (list, tuple)):
+            raise TypeError(f"a matrix must be a list of 0/1 strings, not a {type(texts).__name__}")
         rows = [BitVector.from_string(t) for t in texts]
         if not rows:
             raise ValueError("cannot infer column count from an empty matrix")
@@ -130,16 +117,6 @@ class BitMatrix:
     def to_strings(self) -> List[str]:
         return [_word_text(w, self.col_count) for w in self._words]
 
-    def transpose(self) -> "BitMatrix":
-        if self.row_count == 0:
-            raise ValueError("cannot transpose a matrix with no rows")
-        columns = [0] * self.col_count
-        for i, row in enumerate(self._words):
-            for c in range(self.col_count):
-                if (row >> c) & 1:
-                    columns[c] |= 1 << i
-        return BitMatrix.from_words(self.row_count, columns)
-
     def mat_vec(self, x: BitVector) -> BitVector:
         """Matrix-vector product: one parity per row."""
         if x.length != self.col_count:
@@ -151,11 +128,6 @@ class BitMatrix:
             if (row & x.word).bit_count() & 1:
                 w |= 1 << i
         return BitVector(self.row_count, w)
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.col_count != other.col_count:
-            raise ValueError("column count mismatch")
-        return BitMatrix(self._words + other._words, self.col_count)
 
 
 def _reduce(basis: Sequence[int], word: int) -> int:
@@ -269,14 +241,6 @@ class Subspace:
     @classmethod
     def from_matrix(cls, mat: BitMatrix) -> "Subspace":
         return cls._canonical(mat.col_count, _rref_words(mat._words))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, [1 << i for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:

@@ -32,6 +32,7 @@ from storagecodes.flowgame import (
     verify_theorem,
 )
 from storagecodes.gf2 import (
+    BitMatrix,
     BitVector,
     Subspace,
     rank,
@@ -49,6 +50,11 @@ from storagecodes.sim import (
 )
 
 from test_flowgame import brute_force_min_cut, random_small_graph
+
+
+def stack(mats):
+    """The rows of mats, in order, as one matrix."""
+    return BitMatrix.from_words(mats[0].col_count, [w for mat in mats for w in mat.words()])
 
 
 def report(number, name, elapsed, budget):
@@ -76,7 +82,7 @@ def test_criterion_1_exact_repair_end_to_end():
         assert state.stored[0].word == expected
         # every 2-subset of nodes decodes x
         for pair in combinations(range(4), 2):
-            stacked = state.bases[pair[0]].stack(state.bases[pair[1]])
+            stacked = stack([state.bases[i] for i in pair])
             rhs_word = state.stored[pair[0]].word | (state.stored[pair[1]].word << 2)
             assert solve(stacked, BitVector(4, rhs_word)) == x
     report(1, "exact-repair walkthrough", time.time() - start, 1.0)
@@ -109,9 +115,7 @@ def test_criterion_3_functional_repair_rounds():
         assert spec.satisfied(state.subspaces()), f"spec broken at epoch {round_no}"
         if round_no % 50 == 0:
             for triple in combinations(range(4), 3):
-                stacked = state.bases[triple[0]]
-                for i in triple[1:]:
-                    stacked = stacked.stack(state.bases[i])
+                stacked = stack([state.bases[i] for i in triple])
                 assert rank(stacked) == 5
                 for word in range(32):
                     msg = BitVector(5, word)

@@ -296,6 +296,14 @@ def _list_plan_row(doc):
     spaces["1"] = [list(row) for row in spaces["1"]]
 
 
+def _object_node(doc):
+    doc["nodes"][0] = {row: i for i, row in enumerate(doc["nodes"][0], 1)}
+
+
+def _object_plan_space(doc):
+    doc["repair_plans"]["0"]["spaces"]["1"] = {"1001": 0}
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize(
     "name, breakage",
@@ -303,10 +311,14 @@ def _list_plan_row(doc):
         ("example1", _list_node_row),
         ("example1", _list_plan_row),
         ("example3", _list_node_row),
+        ("example1", _object_node),
+        ("example1", _object_plan_space),
+        ("example3", _object_node),
     ],
 )
 def test_basis_row_written_as_list_is_parse_error(tmp_path, capsys, command, name, breakage):
-    # a row ["1","0","0","1"] must not be read as "1001"
+    # a row ["1","0","0","1"] must not be read as "1001", nor an object's
+    # keys as the rows of a basis
     path = write_code(tmp_path, capsys, name)
     doc = json.loads(path.read_text())
     breakage(doc)
@@ -359,6 +371,10 @@ def _set(*path_and_value):
          "bad repair plan for node 0: a helper must be an integer, got True"),
         (_set("repair_plans", "0", "helpers", [1, 1, 2, 3]),
          "bad repair plan for node 0: a helper is listed more than once"),
+        (_set("repair_plans", "0", {"helpers": [], "beta": 1, "spaces": {}}),
+         "bad repair plan for node 0: a repair plan needs at least one helper"),
+        (_set("name", ["x"]), "name must be a string, got ['x']"),
+        (_set("name", None), "name must be a string, got None"),
     ],
 )
 def test_non_integer_fields_and_repeated_helpers_are_parse_errors(
@@ -455,6 +471,7 @@ def test_repeated_keys_are_parse_errors(tmp_path, capsys, command, breakage, key
         ("n", 3, "declared n = 3 does not match the node bases"),
         ("alpha", 1, "declared alpha = 1 does not match the node bases"),
         ("m", 5.0, "m must be an integer, got 5.0"),
+        ("name", 3, "name must be a string, got 3"),
         ("repair_plans", {}, "a functional code file takes no 'repair_plans'"),
         ("declared", {"k": 3, "r": 3, "beta": 1}, "a functional code file takes no 'declared'"),
     ],
@@ -830,6 +847,17 @@ def test_game_horizon_override(capsys):
     )
     assert code == EXIT_OK
     assert "holds=1" in out
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_game_horizon_below_one_is_rejected(capsys, horizon):
+    # 0 is a horizon like any other, not a stand-in for the default
+    code, out, err = run(
+        capsys,
+        "game", "--case", "alpha_eq_beta", "--n", "4", "--r", "3", "--alpha", "1", "--beta", "1",
+        "--horizon", horizon,
+    )
+    assert (code, out, err) == (EXIT_PARSE, "", "bad parameters: need horizon >= 1\n")
 
 
 def test_game_regime_mismatch(capsys):

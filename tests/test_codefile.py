@@ -17,7 +17,7 @@ def test_dumps_is_byte_stable():
 def test_exact_round_trip(tmp_path):
     named = example1()
     path = tmp_path / "example1.json"
-    codefile.save(codefile.from_named_code(named), str(path))
+    path.write_text(codefile.dumps(codefile.from_named_code(named)))
     loaded = codefile.load(str(path))
     assert loaded.spec is None
     assert loaded.code.basis_strings() == named.code.basis_strings()
@@ -33,7 +33,7 @@ def test_exact_round_trip(tmp_path):
 def test_functional_round_trip(tmp_path):
     cf = codefile.from_named_code(example3())
     path = tmp_path / "fn.json"
-    codefile.save(cf, str(path))
+    path.write_text(codefile.dumps(cf))
     loaded = codefile.load(str(path))
     assert loaded.spec is not None
     assert loaded.spec.name == "example3"
@@ -130,6 +130,6 @@ def test_load_missing_file():
 def test_larger_construction_round_trips(tmp_path):
     named = rbt_mbr(5)
     path = tmp_path / "mbr5.json"
-    codefile.save(codefile.from_named_code(named), str(path))
+    path.write_text(codefile.dumps(codefile.from_named_code(named)))
     loaded = codefile.load(str(path))
     assert loaded.code.basis_strings() == named.code.basis_strings()

@@ -150,10 +150,30 @@ REGISTRY_CODES = [
 
 @pytest.mark.parametrize("build", REGISTRY_CODES)
 def test_recovery_dimension_equals_search_from_size_one(build):
-    # recovery_dimension starts at ceil(m / largest node dim); the plain
-    # search starts at 1
+    # the plain search tries every subset, by increasing size from 1
     code = build().code
     assert recovery_dimension(code) == _smallest_recovery_set(code)
+
+
+def test_recovery_dimension_equals_subset_search_on_random_codes():
+    # nodes drawn from a few spaces, so that repeated and nested nodes
+    # (which the depth-first search skips) are common
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(600):
+        m = rng.randrange(1, 6)
+        alpha = rng.randrange(1, m + 1)
+        pool = [rng.sample(range(1, 1 << m), alpha) for _ in range(rng.randrange(1, 4))]
+        mats = [BitMatrix.from_words(m, rng.choice(pool)) for _ in range(rng.randrange(1, 7))]
+        code = StorageCode(m, alpha, tuple(mats))
+        expected = _smallest_recovery_set(code)
+        if expected is None:
+            with pytest.raises(CodeError):
+                recovery_dimension(code)
+        else:
+            assert recovery_dimension(code) == expected
+            checked += 1
+    assert checked > 100
 
 
 def test_rate_and_overhead():
@@ -176,8 +196,14 @@ def test_find_repair_plan_rotating_code():
 
 
 def test_repair_plan_rejects_self_help():
+    zero = Subspace.spanned_by(2, [])
     with pytest.raises(CodeError):
-        RepairPlan(0, (0, 1), {0: Subspace.zero(2), 1: Subspace.zero(2)}, 1)
+        RepairPlan(0, (0, 1), {0: zero, 1: zero}, 1)
+
+
+def test_repair_plan_needs_a_helper():
+    with pytest.raises(CodeError, match="at least one helper"):
+        RepairPlan(0, (), {}, 1)
 
 
 def test_repair_plan_rejects_repeated_helpers():

@@ -27,7 +27,6 @@ from storagecodes.constructions import (
     pair_coordinates,
     rbt_mbr,
     repetition_code,
-    repetition_variants,
     single_parity,
 )
 from storagecodes.gf2 import (
@@ -168,6 +167,14 @@ def test_repetition_copy_variant():
         assert validate_plan(named.code, plan) == []
 
 
+def test_large_repetition_code_constructs():
+    # k = 7 among 56 nodes: the 7-subsets in lexicographic order reach
+    # the first that meets all seven groups only after millions of others
+    named = repetition_code(56, 7, alpha=7, variant="copy")
+    p = named.declared
+    assert (p.m, p.n, p.k, p.r, p.alpha, p.beta) == (49, 56, 7, 7, 7, 7)
+
+
 def test_repetition_validation():
     with pytest.raises(CodeError):
         repetition_code(5, 2)  # r+1 does not divide n
@@ -175,16 +182,6 @@ def test_repetition_validation():
         repetition_code(6, 2, alpha=3, variant="split")  # r does not divide alpha
     with pytest.raises(CodeError):
         repetition_code(6, 2, variant="bogus")
-
-
-def test_repetition_variants_listing():
-    both = repetition_variants(6, 2, 2)
-    assert [nc.name for nc in both] == [
-        "repetition-n6-r2-a2-split",
-        "repetition-n6-r2-a2-copy",
-    ]
-    only_copy = repetition_variants(6, 2, 3)
-    assert len(only_copy) == 1 and only_copy[0].name.endswith("copy")
 
 
 # ---------------------------------------------------------------------------
