@@ -15,7 +15,13 @@ import sys
 from typing import List, Optional
 
 from . import bounds, codefile, flowgame
-from .codes import rate_and_overhead, recovery_dimension, repair_locality, validate_plan
+from .codes import (
+    is_recovery_set,
+    rate_and_overhead,
+    recovery_dimension,
+    repair_locality,
+    validate_plan,
+)
 from .constructions import named_codes
 from .gf2 import BitVector, EnumerationCapError
 from .sim import (
@@ -176,12 +182,19 @@ def cmd_simulate(args) -> int:
         else:
             state = encode_functional(cf.spec, code.node_bases, x)
         # After the last round, which repairs the node it failed, every node
-        # is live: decode max(rounds, 1) random sets of recovery-dimension size.
+        # is live: decode max(rounds, 1) random sets of recovery-dimension
+        # size.  Exact repair keeps every node's space, so an exact code's
+        # set is completed in index order until it decodes; a functional
+        # code's spaces move, and its spec alone decides what decodes.
         k = recovery_dimension(code)
         check_rng = random.Random(args.seed + 1)
         script = random_failure_script(code.n, args.rounds, args.seed)
         for _ in range(max(args.rounds, 1)):
-            script.append(("collect", check_rng.sample(range(code.n), k)))
+            nodes = check_rng.sample(range(code.n), k)
+            rest = (i for i in range(code.n) if i not in nodes)
+            while cf.spec is None and not is_recovery_set(code, nodes):
+                nodes.append(next(rest))
+            script.append(("collect", nodes))
         run_scenario(state, script)
     except SimulationError as exc:
         print(f"simulation failure at epoch {state.epoch}: {exc}", file=sys.stderr)

@@ -296,18 +296,3 @@ def repair_locality(
         worst = max(worst, best)
     return worst
 
-
-def permute_plan(plan: RepairPlan, perm: Sequence[int], node_map: Dict[int, int]) -> RepairPlan:
-    """Carry a repair plan along a coordinate permutation plus node relabeling."""
-    m = next(iter(plan.repair_spaces.values())).ambient_dim
-
-    def map_space(s: Subspace) -> Subspace:
-        words = [sum(1 << perm[i] for i in range(m) if (w >> i) & 1) for w in s.basis.words()]
-        return Subspace.from_matrix(BitMatrix.from_words(m, words))
-
-    return RepairPlan(
-        node_map[plan.failed],
-        tuple(node_map[i] for i in plan.helpers),
-        {node_map[i]: map_space(w) for i, w in plan.repair_spaces.items()},
-        plan.beta,
-    )

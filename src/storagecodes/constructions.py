@@ -2,6 +2,9 @@
 
 All constructors verify their declared parameter profile against the
 built code before returning it, so a NamedCode can be trusted as-is.
+The exact families state their codes as rows through _exact, which
+reads n and alpha off the rows: for them the check covers m, k, r,
+beta, the row counts and every repair plan, not n or alpha.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from .codes import (
     CodeParams,
     RepairPlan,
     StorageCode,
-    permute_plan,
     recovery_dimension,
     validate,
     validate_plan,
 )
-from .gf2 import BitMatrix, BitVector, Subspace, _reduce, _rref_words
+from .gf2 import BitMatrix, Subspace, _reduce, _rref_words
 
 MAX_RBT_NODES = 11  # C(n,2) must fit the 64-bit vector packing
 
@@ -154,40 +156,56 @@ def _verify(named: NamedCode) -> NamedCode:
     return named
 
 
+def _exact(
+    name: str,
+    m: int,
+    nodes: Sequence[Sequence[int]],
+    plans: Dict[int, Dict[int, Sequence[int]]],
+    k: int,
+    r: int,
+    beta: int,
+) -> NamedCode:
+    """An exact-repair code stated as rows, verified against its profile.
+
+    nodes[i] holds node i's basis rows as int words over GF(2)^m, and
+    plans maps each failed node to each helper's repair-space rows.  The
+    declared n and alpha are read off the rows (node 0's count, which
+    validate holds every node to), so _verify does not check them.  An
+    empty node list gets alpha 0 and fails CodeParams' positivity check.
+    """
+    alpha = len(nodes[0]) if nodes else 0
+    code = StorageCode(m, alpha, tuple(BitMatrix.from_words(m, rows) for rows in nodes))
+    repair = {
+        failed: RepairPlan(
+            failed,
+            tuple(spaces),
+            {h: Subspace.from_matrix(BitMatrix.from_words(m, rows)) for h, rows in spaces.items()},
+            beta,
+        )
+        for failed, spaces in plans.items()
+    }
+    params = CodeParams(m, code.n, k, r, code.alpha, beta)
+    return _verify(NamedCode(name, code, params, repair))
+
+
 def example1() -> NamedCode:
     """The (4; 4,2,3,2,1) binary code on four rotating 2-dim subspaces.
 
-    Node 0 stores (x0, x2+x3); its canonical repair downloads x0+x3 from
-    node 1, x2 from node 2 and x3 from node 3.  Plans for the other
-    nodes follow from the coordinate rotation e_i -> e_{i+1 mod 4}.
+    Node i stores (x_i, x_{i+2} + x_{i+3}), indices mod 4, so node 0
+    stores (x0, x2+x3).  To repair node f, node f+1 sends x_f + x_{f+3}
+    and nodes f+2 and f+3 send their own unit symbols x_{f+2} and
+    x_{f+3}: node 0 gets x0+x3, x2 and x3.
     """
-    code = StorageCode.from_basis_strings(
-        [
-            ["1000", "0011"],  # e0, e2+e3
-            ["0100", "1001"],  # e1, e3+e0
-            ["0010", "1100"],  # e2, e0+e1
-            ["0001", "0110"],  # e3, e1+e2
-        ]
-    )
-    base_plan = RepairPlan(
-        failed=0,
-        helpers=(1, 2, 3),
-        repair_spaces={
-            1: Subspace.spanned_by(4, [BitVector.from_string("1001")]),  # e0+e3
-            2: Subspace.spanned_by(4, [BitVector.from_string("0010")]),  # e2
-            3: Subspace.spanned_by(4, [BitVector.from_string("0001")]),  # e3
-        },
-        beta=1,
-    )
-    plans = {0: base_plan}
-    rotation = [1, 2, 3, 0]  # e_i -> e_{i+1 mod 4}
-    node_map = {i: (i + 1) % 4 for i in range(4)}
-    plan = base_plan
-    for shift in range(1, 4):
-        plan = permute_plan(plan, rotation, node_map)
-        plans[shift] = plan
-    named = NamedCode("example1", code, CodeParams(4, 4, 2, 3, 2, 1), plans)
-    return _verify(named)
+
+    def e(i: int) -> int:
+        return 1 << i % 4
+
+    nodes = [[e(i), e(i + 2) | e(i + 3)] for i in range(4)]
+    plans = {
+        f: {(f + 1) % 4: [e(f) | e(f + 3)], (f + 2) % 4: [e(f + 2)], (f + 3) % 4: [e(f + 3)]}
+        for f in range(4)
+    }
+    return _exact("example1", 4, nodes, plans, k=2, r=3, beta=1)
 
 
 def pair_coordinates(n: int) -> List[Tuple[int, int]]:
@@ -203,24 +221,14 @@ def rbt_mbr(n: int) -> NamedCode:
     """
     if not 3 <= n <= MAX_RBT_NODES:
         raise CodeError(f"rbt_mbr needs 3 <= n <= {MAX_RBT_NODES}")
-    pairs = pair_coordinates(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    m = len(pairs)
-    bases = []
-    for v in range(n):
-        rows = [1 << index[tuple(sorted((v, j)))] for j in range(n) if j != v]
-        bases.append(BitMatrix.from_words(m, rows))
-    code = StorageCode(m, n - 1, tuple(bases))
-    plans = {}
-    for failed in range(n):
-        helpers = tuple(j for j in range(n) if j != failed)
-        spaces = {
-            j: Subspace.spanned_by(m, [BitVector.unit(m, index[tuple(sorted((j, failed)))])])
-            for j in helpers
-        }
-        plans[failed] = RepairPlan(failed, helpers, spaces, 1)
-    named = NamedCode(f"rbt-mbr-n{n}", code, CodeParams(m, n, n - 1, n - 1, n - 1, 1), plans)
-    return _verify(named)
+    index = {p: i for i, p in enumerate(pair_coordinates(n))}
+
+    def x(v: int, j: int) -> int:
+        return 1 << index[(min(v, j), max(v, j))]
+
+    nodes = [[x(v, j) for j in range(n) if j != v] for v in range(n)]
+    plans = {f: {j: [x(j, f)] for j in range(n) if j != f} for f in range(n)}
+    return _exact(f"rbt-mbr-n{n}", len(index), nodes, plans, k=n - 1, r=n - 1, beta=1)
 
 
 def single_parity(r: int) -> NamedCode:
@@ -232,17 +240,9 @@ def single_parity(r: int) -> NamedCode:
     """
     if r < 1:
         raise CodeError("single_parity needs r >= 1")
-    n = r + 1
-    bases = [BitMatrix.from_words(r, [1 << i]) for i in range(r)]
-    bases.append(BitMatrix.from_words(r, [(1 << r) - 1]))
-    code = StorageCode(r, 1, tuple(bases))
-    plans = {}
-    for failed in range(n):
-        helpers = tuple(j for j in range(n) if j != failed)
-        spaces = {j: code.subspaces[j] for j in helpers}
-        plans[failed] = RepairPlan(failed, helpers, spaces, 1)
-    named = NamedCode(f"parity-r{r}", code, CodeParams(r, n, r, r, 1, 1), plans)
-    return _verify(named)
+    nodes = [[1 << i] for i in range(r)] + [[(1 << r) - 1]]
+    plans = {f: {j: nodes[j] for j in range(r + 1) if j != f} for f in range(r + 1)}
+    return _exact(f"parity-r{r}", r, nodes, plans, k=r, r=r, beta=1)
 
 
 def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = "split") -> NamedCode:
@@ -250,45 +250,32 @@ def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = 
 
     Two repair variants exist.  "split" (requires r | alpha) downloads
     beta = alpha/r from each of the r group peers; "copy" downloads the
-    whole block (beta = alpha) from a single peer.  Both carry the
-    structural declared r; the copy variant's plans use one helper.
+    whole block (beta = alpha) from a single peer.  In both the first
+    alpha/beta peers each send their own beta-symbol chunk of the group
+    block.  Both carry the structural declared r; the copy variant's
+    plans use one helper.
     """
     if r < 1:
         raise CodeError("repetition_code needs r >= 1")
     if n % (r + 1) != 0:
         raise CodeError(f"r+1 = {r + 1} must divide n = {n}")
-    if variant not in ("split", "copy"):
+    senders = {"split": r, "copy": 1}.get(variant)
+    if senders is None:
         raise CodeError(f"unknown variant {variant!r}")
     alpha = r if alpha is None else alpha
-    if variant == "split" and alpha % r != 0:
+    if alpha % senders != 0:
         raise CodeError(f"split variant needs r | alpha, got r={r}, alpha={alpha}")
     groups = n // (r + 1)
-    m = alpha * groups
-    bases = []
-    for node in range(n):
-        group = node // (r + 1)
-        rows = [1 << (group * alpha + s) for s in range(alpha)]
-        bases.append(BitMatrix.from_words(m, rows))
-    code = StorageCode(m, alpha, tuple(bases))
-    beta = alpha // r if variant == "split" else alpha
+    beta = alpha // senders
+    # node i holds the unit rows of its group's alpha coordinates
+    nodes = [[1 << (i // (r + 1) * alpha + s) for s in range(alpha)] for i in range(n)]
     plans = {}
-    for failed in range(n):
-        group = failed // (r + 1)
-        peers = [j for j in range(group * (r + 1), (group + 1) * (r + 1)) if j != failed]
-        if variant == "split":
-            spaces = {}
-            for t, peer in enumerate(peers):
-                rows = [
-                    BitVector.unit(m, group * alpha + t * beta + s) for s in range(beta)
-                ]
-                spaces[peer] = Subspace.spanned_by(m, rows)
-            plans[failed] = RepairPlan(failed, tuple(peers), spaces, beta)
-        else:
-            helper = peers[0]
-            plans[failed] = RepairPlan(failed, (helper,), {helper: code.subspaces[helper]}, beta)
-    params = CodeParams(m, n, groups, r, alpha, beta)
-    named = NamedCode(f"repetition-n{n}-r{r}-a{alpha}-{variant}", code, params, plans)
-    return _verify(named)
+    for f in range(n):
+        first = f - f % (r + 1)
+        peers = [j for j in range(first, first + r + 1) if j != f][:senders]
+        plans[f] = {j: nodes[f][t * beta : (t + 1) * beta] for t, j in enumerate(peers)}
+    name = f"repetition-n{n}-r{r}-a{alpha}-{variant}"
+    return _exact(name, alpha * groups, nodes, plans, k=groups, r=r, beta=beta)
 
 
 def _added_rank(prefix: Sequence[int], words: Sequence[int]) -> int:

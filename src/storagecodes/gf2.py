@@ -56,10 +56,6 @@ class BitVector:
                 word |= 1 << i
         return cls(len(text), word)
 
-    @classmethod
-    def unit(cls, length: int, index: int) -> "BitVector":
-        return cls(length, 1 << index)
-
     def to_string(self) -> str:
         return _word_text(self.word, self.length)
 

@@ -75,18 +75,75 @@ def test_construct_bad_parameters(capsys):
     assert "bad parameters" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["parity", "--r", "70"],  # m = 70 exceeds the 64-bit vector packing
-        ["repetition", "--n", "130", "--r", "1", "--alpha", "1"],  # m = 65
-        ["repetition", "--n", "6", "--r", "0"],
-    ],
-)
+# construct arguments -> the one-line message each is rejected with
+OUT_OF_RANGE = {
+    "parity --r 70": "vector length must be in 1..64",  # m = 70 exceeds the 64-bit packing
+    "repetition --n 130 --r 1 --alpha 1": "vector length must be in 1..64",  # m = 65
+    "repetition --n 6 --r 0": "repetition_code needs r >= 1",
+    "repetition --n 6 --r 2 --alpha 0": "m must be positive",
+    "repetition --n 6 --r 2 --alpha -2": "m must be positive",
+    "repetition --n 6 --r 2 --alpha 0 --variant copy": "m must be positive",
+    "repetition --n 6 --r 2 --alpha -2 --variant copy": "m must be positive",
+    "repetition --n 0 --r 2": "m must be positive",  # no groups: m = 0
+    "repetition --n -3 --r 2": "m must be positive",  # m = -2
+}
+
+
+@pytest.mark.parametrize("argv", [args.split() for args in OUT_OF_RANGE])
 def test_construct_out_of_range_parameters_are_one_line(capsys, argv):
     code, out, err = run(capsys, "construct", *argv)
     assert (code, out) == (EXIT_PARSE, "")
-    assert err.startswith("bad parameters: ") and err.count("\n") == 1
+    assert err == f"bad parameters: {OUT_OF_RANGE[' '.join(argv)]}\n"
+
+
+# construct arguments -> sha256 of the code file written, one or more
+# cases for every registry family
+CONSTRUCT_PINS = {
+    "example1": "be80db3faac33ef0d6860b595a5071083a6d13e2de790e898361f8151e2bcef7",
+    "example3": "ecfff7c0f679c2d07d2c7afafb6d364e5459278787295ec88398c2821bf6f410",
+    "rbt-mbr --n 3": "cb81a3d8cace5d39a9b0425bb5200a4a737f621c8629d26afe397a3a56a3d820",
+    "rbt-mbr --n 4": "b0290b7c22bab6aa9bf74650fe6fef2527f42e6f181d7ca03ff231e93d4e26d4",
+    "rbt-mbr --n 5": "4e15ed826ea341fe3216136ab526ed03123641f1c967aa50cc196ea08cc2dbad",
+    "rbt-mbr --n 6": "b0a2ce0160b6b0141ab514df68710ee545f5c7f4a1da8005f4f52a42df98a467",
+    "rbt-mbr --n 7": "f7549b7331d6b36f94da6290dcd0fd1c6850486542ce53d8f085ccb351132ac6",
+    "rbt-mbr --n 8": "89983c3e4a6abbe32485bebe941e567e7be6ac3b35700a266b0ca786a9f5d15a",
+    "rbt-mbr --n 9": "1417d9b96c2884c3291447ac4af0262cacbeb83a164069ae164f24763a9e8997",
+    "rbt-mbr --n 10": "d6c315d8b779b9206ed6bf46aa51ed4f03ce7b1d3ea3e2b6944df7163bbcbf9f",
+    "rbt-mbr --n 11": "3f45a1ae47e0613e7fab768a0b610af89efb17ea1c61afceaa58c26d2b9da3ed",
+    "parity --r 1": "ef92f66d9e617144f37f003922b0f8aa2d832beecb6d78957c8ac28845c291e9",
+    "parity --r 4": "b857a8d45e40ff6b5d45337dc8c6ea47e3ed8a41fad4055d0dff4668600837cc",
+    "parity --r 64": "16d83213d24a9c67a490d289cd6858eff411945200f6c1f5e882bf92e3a75d1a",
+    "repetition --n 6 --r 2 --alpha 2": "0d3ee45170461fde8bb29114cbdfc9c339b3f07f2016db6b8f58e117e9d245bc",
+    "repetition --n 6 --r 2 --alpha 4": "d74a66a9e2902f3166ec179cfb40f4c13365471434ee3b2eb74ef474b860cdc6",
+    "repetition --n 6 --r 2 --alpha 2 --variant copy": (
+        "e3ca751fa7aa7b6af403177f0698c4ac77bd11b9a7f37775b083434bf265d3f0"
+    ),
+    "repetition --n 6 --r 2 --alpha 4 --variant copy": (
+        "c81021d50e4959d1cbce019e318cc73c54d5936ab12d42927bea1ff9277e9909"
+    ),
+    "repetition --n 8 --r 3 --alpha 3": "183317c28a4e80d32f2ae04e907133afe6dd191c1fe357044d326048dcecaed0",
+    "repetition --n 8 --r 3 --alpha 6": "8fcb9ac0dc7ec02186a2db59f2adcde79d84ca533d4ad4ec68c71aa684d55f62",
+    "repetition --n 8 --r 3 --alpha 3 --variant copy": (
+        "ddba6bde0220f76ec58a252eefbd4b7c1b6ce04bc222da5c5e4d7d4123d01d56"
+    ),
+    "repetition --n 8 --r 3 --alpha 6 --variant copy": (
+        "8aec77d5a1e53985c6b12c3381a672995e3f009c057c7e76d96615886b05f12c"
+    ),
+    "repetition --n 56 --r 7 --alpha 7 --variant copy": (
+        "646a8deddab63e54ad2fa666ce8ca3d18acfa3bda5daa98ca501b2284dca0480"
+    ),
+}
+
+
+def test_construct_pins_cover_the_registry():
+    assert {args.split()[0] for args in CONSTRUCT_PINS} == set(named_codes())
+
+
+@pytest.mark.parametrize("args", list(CONSTRUCT_PINS))
+def test_construct_output_is_pinned(capsys, args):
+    code, out, err = run(capsys, "construct", *args.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_PINS[args]
 
 
 # The options each construction takes; every other construct option is rejected.
@@ -671,6 +728,17 @@ def test_simulate_decodes_from_more_than_64_stored_symbols(tmp_path, capsys):
     code, out, err = run(capsys, "--rounds", "1", "simulate", str(path))
     assert code == EXIT_OK and err == ""
     assert "decode_checks_passed: 1" in out
+
+
+def test_simulate_decode_sets_are_completed_until_they_decode(tmp_path, capsys):
+    # k = 7 among 56 nodes: a random 7-set almost never holds one node of
+    # every group, so each set is completed in index order until it does.
+    path = write_code(
+        tmp_path, capsys, "repetition", "--n", "56", "--r", "7", "--alpha", "7", "--variant", "copy"
+    )
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "decode_checks_passed: 100" in out.splitlines()
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):

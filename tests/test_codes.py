@@ -15,7 +15,6 @@ from storagecodes.codes import (
     StorageCode,
     find_repair_plan,
     is_recovery_set,
-    permute_plan,
     rate_and_overhead,
     recovery_dimension,
     repair_locality,
@@ -451,12 +450,3 @@ def test_permute_coordinates_rotation_is_automorphism():
     # the rotation maps node i's space onto node i+1's space
     for i in range(4):
         assert rotated.subspaces[i] == code.subspaces[(i + 1) % 4]
-
-
-def test_permute_plan_carries_validity():
-    code = four_rotations()
-    plan = find_repair_plan(code, 0, [1, 2, 3], beta=1)
-    node_map = {i: (i + 1) % 4 for i in range(4)}
-    moved = permute_plan(plan, [1, 2, 3, 0], node_map)
-    assert moved.failed == 1
-    assert validate_plan(code, moved) == []

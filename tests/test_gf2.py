@@ -53,8 +53,7 @@ def test_bitvector_string_round_trip():
     assert v.to_string() == "1001"
 
 
-def test_bitvector_unit_and_zero():
-    assert BitVector.unit(5, 2).to_string() == "00100"
+def test_bitvector_zero_and_range():
     assert BitVector(3, 0).is_zero()
     with pytest.raises(ValueError):
         BitVector(4, 1 << 4)
