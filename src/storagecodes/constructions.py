@@ -22,7 +22,7 @@ from .codes import (
     validate,
     validate_plan,
 )
-from .gf2 import BitMatrix, Subspace, _reduce, _rref_words
+from .gf2 import MAX_AMBIENT_DIM, BitMatrix, Subspace, _reduce, _rref_words
 
 MAX_RBT_NODES = 11  # C(n,2) must fit the 64-bit vector packing
 
@@ -259,13 +259,21 @@ def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = 
         raise CodeError("repetition_code needs r >= 1")
     if n % (r + 1) != 0:
         raise CodeError(f"r+1 = {r + 1} must divide n = {n}")
+    if n < r + 1:
+        raise CodeError(f"repetition_code needs n >= r+1 = {r + 1}, got n={n}")
     senders = {"split": r, "copy": 1}.get(variant)
     if senders is None:
         raise CodeError(f"unknown variant {variant!r}")
     alpha = r if alpha is None else alpha
+    if alpha < 1:
+        raise CodeError(f"repetition_code needs alpha >= 1, got alpha={alpha}")
     if alpha % senders != 0:
         raise CodeError(f"split variant needs r | alpha, got r={r}, alpha={alpha}")
     groups = n // (r + 1)
+    if alpha * groups > MAX_AMBIENT_DIM:
+        raise CodeError(
+            f"repetition_code needs alpha*n/(r+1) <= {MAX_AMBIENT_DIM}, got {alpha * groups}"
+        )
     beta = alpha // senders
     # node i holds the unit rows of its group's alpha coordinates
     nodes = [[1 << (i // (r + 1) * alpha + s) for s in range(alpha)] for i in range(n)]

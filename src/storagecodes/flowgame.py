@@ -6,16 +6,25 @@ vertex.  The data collector attaches to the out vertices of all live
 incarnations, and the game value is the smallest collector-side min cut
 KILLER can force within a finite number of kill/rebuild rounds.
 
+Only ancestors of live incarnations reach the collector, so max flow
+runs on their subgraph with the unbounded edges contracted: every
+initial node's in vertex is the source and every live node's out vertex
+is the sink.  A live initial node is one source-to-sink alpha-edge, and
+a helper edge leaving a live node starts at the sink and is dropped.
 A rebuild never changes the collector value (the newcomer's helpers are
-live, so their out vertices already reach the sink without bound), so
-the search runs one max flow per killed state.
+live, so their out vertices are the sink already), so the search runs
+one max flow per killed state.
+
+State keys refine colors over the same ancestor subgraph, held by
+incarnation id.  Graphs and incarnations are named tuples, so the
+search's memo of keys by labelled graph hashes them in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import bounds
 
@@ -26,16 +35,14 @@ class CapExceededError(RuntimeError):
     """Raised when the game search exceeds its memo-table cap."""
 
 
-@dataclass(frozen=True)
-class Incarnation:
+class Incarnation(NamedTuple):
     """One storage-node incarnation: internal capacity plus helper edges."""
 
     alpha: int
     helpers: Tuple[Tuple[int, int], ...]  # (incarnation id, beta); empty = initial
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(NamedTuple):
     """Capacitated DAG of incarnations with a live-node frontier."""
 
     nodes: Tuple[Incarnation, ...]
@@ -68,6 +75,19 @@ def rebuild(g: FlowGraph, helpers: Iterable[int], alpha: int, beta: int) -> Flow
             raise ValueError(f"helper {h} is not live")
     newcomer = Incarnation(alpha, tuple((h, beta) for h in helper_ids))
     return FlowGraph(g.nodes + (newcomer,), g.live | {len(g.nodes)})
+
+
+def _ancestors_of_live(g: FlowGraph) -> List[int]:
+    """Incarnations with a path to a live one, in id order."""
+    nodes = g.nodes
+    seen = set(g.live)
+    stack = list(seen)
+    while stack:
+        for h, _ in nodes[stack.pop()].helpers:
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return sorted(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +139,23 @@ def _max_flow(n_vertices: int, edges: List[Tuple[int, int, int]], s: int, t: int
 
 
 def build_flow_network(g: FlowGraph) -> Tuple[int, List[Tuple[int, int, int]], int, int]:
-    """Vertex count, edge list, source, sink; unbounded edges exceed all finite ones together."""
-    n = len(g.nodes)
-    source, sink = 0, 1
-    vin = lambda i: 2 + 2 * i
-    vout = lambda i: 3 + 2 * i
-    finite_total = sum(inc.alpha for inc in g.nodes) + sum(
-        b for inc in g.nodes for _, b in inc.helpers
-    )
-    unbounded = finite_total + 1
+    """Vertex count, edges, source 0 and sink 1 of the contracted network (module docstring)."""
+    nodes, live = g.nodes, g.live
+    out: Dict[int, int] = {}  # out vertex of each dead ancestor
     edges: List[Tuple[int, int, int]] = []
-    for i, inc in enumerate(g.nodes):
+    n_vertices = 2
+    for i in _ancestors_of_live(g):  # helpers are older, so theirs come first
+        inc = nodes[i]
+        vin = 0
         if inc.helpers:
-            for h, b in inc.helpers:
-                edges.append((vout(h), vin(i), b))
+            vin, n_vertices = n_vertices, n_vertices + 1
+            edges.extend([(out[h], vin, b) for h, b in inc.helpers if h not in live])
+        if i in live:
+            edges.append((vin, 1, inc.alpha))
         else:
-            edges.append((source, vin(i), unbounded))
-        edges.append((vin(i), vout(i), inc.alpha))
-    for i in sorted(g.live):
-        edges.append((vout(i), sink, unbounded))
-    return 2 + 2 * n, edges, source, sink
+            out[i], n_vertices = n_vertices, n_vertices + 1
+            edges.append((vin, out[i], inc.alpha))
+    return n_vertices, edges, 0, 1
 
 
 def collector_value(g: FlowGraph) -> int:
@@ -173,17 +190,6 @@ def dimakis_cutset_value(n: int, k: int, r: int, alpha: int, beta: int) -> int:
 # ---------------------------------------------------------------------------
 # canonical state keys
 
-def _ancestors_of_live(g: FlowGraph) -> List[int]:
-    nodes = g.nodes
-    seen = set(g.live)
-    stack = list(seen)
-    while stack:
-        for h, _ in nodes[stack.pop()].helpers:
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return sorted(seen)
-
 
 def canonical_key(g: FlowGraph) -> str:
     """Isomorphism-invariant key of the game-relevant part of the graph.
@@ -193,80 +199,76 @@ def canonical_key(g: FlowGraph) -> str:
     (iterated color refinement with individualization on ties).  Swapping
     twins (same color, helpers and children) is an automorphism, so one
     member per twin class is individualized; the key is unchanged.
-    Refinement stops as soon as every color is distinct, since a
-    discrete coloring is already stable.
+    Colors are held by incarnation id and helper lists are read as
+    stored.  Refinement stops as soon as every color is distinct, since
+    a discrete coloring is already stable, or when a round splits no
+    class.
     """
+    nodes, live = g.nodes, g.live
     rel = _ancestors_of_live(g)
-    index = {v: i for i, v in enumerate(rel)}
     n = len(rel)
-    nodes = [g.nodes[v] for v in rel]
-    helpers = [
-        tuple(sorted([(b, index[h]) for h, b in inc.helpers])) if inc.helpers else ()
-        for inc in nodes
-    ]
-    children: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for b, h in helpers[i]:
-            children[h].append((b, i))
-    live = [v in g.live for v in rel]
-    prefix = [f"{int(live[i])}|{inc.alpha}|" for i, inc in enumerate(nodes)]
-    links = list(zip(helpers, children))
+    children: List[List[Tuple[int, int]]] = [[] for _ in nodes]
+    for v in rel:
+        for h, b in nodes[v].helpers:
+            children[h].append((b, v))
+    links = [(v, nodes[v].helpers, children[v]) for v in rel]
 
-    def refine(colors: List[int]) -> List[int]:
-        # Returns dense colors: a ranking of the stable signatures.  Each
-        # signature starts with its color, so distinct colors are stable.
-        while max(colors, default=-1) < n - 1:
+    def refine(colors: List[int], count: int) -> int:
+        # Refines colors in place to dense colors, a ranking of the stable
+        # signatures, and returns their number.  Each signature starts
+        # with its color, so a round that splits no class is stable.
+        while count < n:
             signatures = [
                 (
-                    c,
-                    tuple(sorted([(b, colors[h]) for b, h in hs])) if hs else (),
+                    colors[v],
+                    tuple(sorted([(b, colors[h]) for h, b in hs])) if hs else (),
                     tuple(sorted([(b, colors[x]) for b, x in cs])) if cs else (),
                 )
-                for c, (hs, cs) in zip(colors, links)
+                for v, hs, cs in links
             ]
-            mapping = {sig: j for j, sig in enumerate(sorted(set(signatures)))}
-            new = [mapping[sig] for sig in signatures]
-            if new == colors:
+            distinct = set(signatures)
+            if len(distinct) == count:
                 break
-            colors = new
-        return colors
+            mapping = {sig: j for j, sig in enumerate(sorted(distinct))}
+            for v, sig in zip(rel, signatures):
+                colors[v] = mapping[sig]
+            count = len(distinct)
+        return count
 
     def encode(colors: List[int]) -> str:
         # Discrete dense colors are each vertex's position in the order.
-        order = [0] * n
-        for v, c in enumerate(colors):
-            order[c] = v
         parts = []
-        for v in order:
-            hs = helpers[v]
+        for v in sorted(rel, key=colors.__getitem__):
+            alpha, hs = nodes[v]
+            prefix = f"{int(v in live)}|{alpha}|"
             if hs:
-                parts.append(
-                    prefix[v]
-                    + ",".join([f"{b}:{p}" for b, p in sorted([(b, colors[h]) for b, h in hs])])
-                )
-            else:
-                parts.append(prefix[v])
+                prefix += ",".join([f"{b}:{p}" for b, p in sorted([(b, colors[h]) for h, b in hs])])
+            parts.append(prefix)
         return ";".join(parts)
 
-    def canonize(colors: List[int]) -> str:
-        colors = refine(colors)
-        if max(colors, default=-1) == n - 1:  # dense colors, all distinct
+    def canonize(colors: List[int], count: int) -> str:
+        count = refine(colors, count)
+        if count == n:  # dense colors, all distinct
             return encode(colors)
         classes: Dict[int, List[int]] = {}
-        for i, c in enumerate(colors):
-            classes.setdefault(c, []).append(i)
+        for v in rel:
+            classes.setdefault(colors[v], []).append(v)
         ambiguous = [members for members in classes.values() if len(members) > 1]
         target = min(ambiguous, key=lambda ms: (len(ms), colors[ms[0]]))
-        fresh = max(colors) + 1
-        twins = {(helpers[m], tuple(children[m])): m for m in target}
+        # rebuild stores helpers sorted by id, so twins' lists compare equal
+        twins = {(nodes[m].helpers, tuple(children[m])): m for m in target}
         return min([
-            canonize([fresh if i == member else c for i, c in enumerate(colors)])
-            for member in twins.values()
+            canonize(colors[:m] + [count] + colors[m + 1 :], count + 1) for m in twins.values()
         ])
 
-    initial = [(live[i], nodes[i].alpha, not helpers[i]) for i in range(n)]
-    mapping = {sig: j for j, sig in enumerate(sorted(set(initial)))}
-    return canonize([mapping[sig] for sig in initial])
+    # colors[v] is incarnation v's color; only the ancestors' entries are read
+    colors = [0] * len(nodes)
+    initial = [(v in live, nodes[v].alpha, not nodes[v].helpers) for v in rel]
+    distinct = sorted(set(initial))
+    mapping = {sig: j for j, sig in enumerate(distinct)}
+    for v, sig in zip(rel, initial):
+        colors[v] = mapping[sig]
+    return canonize(colors, len(distinct))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from storagecodes.constructions import (
     rbt_mbr,
 )
 from storagecodes.flowgame import (
-    build_flow_network,
     collector_value,
     dimakis_cutset_value,
     verify_theorem,
@@ -49,7 +48,7 @@ from storagecodes.sim import (
     trace_to_text,
 )
 
-from test_flowgame import brute_force_min_cut, random_small_graph
+from test_flowgame import brute_force_min_cut, plain_flow_network, random_small_graph
 
 
 def stack(mats):
@@ -180,7 +179,7 @@ def test_criterion_7_oracle_equivalence():
     rng = random.Random(777)
     for _ in range(200):
         g = random_small_graph(rng)
-        n_vertices, edges, s, t = build_flow_network(g)
+        n_vertices, edges, s, t = plain_flow_network(g)
         assert n_vertices <= 14
         assert collector_value(g) == brute_force_min_cut(n_vertices, edges, s, t)
     for _ in range(1000):

@@ -78,14 +78,18 @@ def test_construct_bad_parameters(capsys):
 # construct arguments -> the one-line message each is rejected with
 OUT_OF_RANGE = {
     "parity --r 70": "vector length must be in 1..64",  # m = 70 exceeds the 64-bit packing
-    "repetition --n 130 --r 1 --alpha 1": "vector length must be in 1..64",  # m = 65
+    "repetition --n 130 --r 1 --alpha 1": "repetition_code needs alpha*n/(r+1) <= 64, got 65",
     "repetition --n 6 --r 0": "repetition_code needs r >= 1",
-    "repetition --n 6 --r 2 --alpha 0": "m must be positive",
-    "repetition --n 6 --r 2 --alpha -2": "m must be positive",
-    "repetition --n 6 --r 2 --alpha 0 --variant copy": "m must be positive",
-    "repetition --n 6 --r 2 --alpha -2 --variant copy": "m must be positive",
-    "repetition --n 0 --r 2": "m must be positive",  # no groups: m = 0
-    "repetition --n -3 --r 2": "m must be positive",  # m = -2
+    "repetition --n 6 --r 2 --alpha 0": "repetition_code needs alpha >= 1, got alpha=0",
+    "repetition --n 6 --r 2 --alpha -2": "repetition_code needs alpha >= 1, got alpha=-2",
+    "repetition --n 6 --r 2 --alpha 0 --variant copy": (
+        "repetition_code needs alpha >= 1, got alpha=0"
+    ),
+    "repetition --n 6 --r 2 --alpha -2 --variant copy": (
+        "repetition_code needs alpha >= 1, got alpha=-2"
+    ),
+    "repetition --n 0 --r 2": "repetition_code needs n >= r+1 = 3, got n=0",
+    "repetition --n -3 --r 2": "repetition_code needs n >= r+1 = 3, got n=-3",
 }
 
 

@@ -182,6 +182,14 @@ def test_repetition_validation():
         repetition_code(6, 2, alpha=3, variant="split")  # r does not divide alpha
     with pytest.raises(CodeError):
         repetition_code(6, 2, variant="bogus")
+    # each range is checked on the options given, in both variants
+    for variant in ("split", "copy"):
+        with pytest.raises(CodeError, match=r"needs alpha >= 1, got alpha=-2"):
+            repetition_code(6, 2, alpha=-2, variant=variant)
+        with pytest.raises(CodeError, match=r"needs n >= r\+1 = 3, got n=0"):
+            repetition_code(0, 2, variant=variant)
+        with pytest.raises(CodeError, match=r"needs alpha\*n/\(r\+1\) <= 64, got 65"):
+            repetition_code(130, 1, alpha=1, variant=variant)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for information-flow graphs and the kill/rebuild min-cut game.
 
 Max-flow answers are checked against an independent brute-force min-cut
-enumeration; game values for small parameter sets were computed by an
+enumeration on the plain information-flow network (every incarnation's
+in and out vertices, unbounded source and collector edges), so the
+library's contracted network is measured against the uncontracted one;
+game values for small parameter sets were computed by an
 exhaustive unpruned minimax and frozen here.
 """
 
@@ -13,6 +16,7 @@ from storagecodes.bounds import cutset_bound
 from storagecodes.flowgame import (
     CapExceededError,
     FlowGraph,
+    Incarnation,
     build_flow_network,
     canonical_key,
     collector_value,
@@ -41,6 +45,25 @@ def brute_force_min_cut(n_vertices, edges, s, t):
     return best
 
 
+def plain_flow_network(g: FlowGraph):
+    """Vertex count, edges, source, sink of the uncontracted network.
+
+    Vertex 0 is the source and 1 the sink; incarnation i has in vertex
+    2+2i and out vertex 3+2i.  Each initial node gets a source edge and
+    each live node a collector edge, both unbounded: larger than all
+    finite capacities together.
+    """
+    unbounded = 1 + sum(inc.alpha + sum(b for _, b in inc.helpers) for inc in g.nodes)
+    edges = []
+    for i, inc in enumerate(g.nodes):
+        edges += [(3 + 2 * h, 2 + 2 * i, b) for h, b in inc.helpers]
+        if not inc.helpers:
+            edges.append((0, 2 + 2 * i, unbounded))
+        edges.append((2 + 2 * i, 3 + 2 * i, inc.alpha))
+    edges += [(3 + 2 * i, 1, unbounded) for i in sorted(g.live)]
+    return 2 + 2 * len(g.nodes), edges, 0, 1
+
+
 def random_small_graph(rng: random.Random) -> FlowGraph:
     """A random kill/rebuild history with at most 6 incarnations."""
     n = rng.randrange(2, 4)
@@ -66,8 +89,11 @@ def test_initial_graph_collector_value():
 
 
 def test_initial_graph_edge_count():
-    n_vertices, edges, s, t = build_flow_network(initial_graph(4, 1))
-    # per incarnation: one source edge and one internal edge, plus 4 collector edges
+    # every node is initial and live, so each is one source-to-sink edge
+    assert build_flow_network(initial_graph(4, 1)) == (2, [(0, 1, 1)] * 4, 0, 1)
+    # the plain network: per incarnation a source and an internal edge,
+    # plus 4 collector edges
+    n_vertices, edges, s, t = plain_flow_network(initial_graph(4, 1))
     assert n_vertices == 2 + 2 * 4
     assert len(edges) == 2 * 4 + 4
 
@@ -105,6 +131,28 @@ def test_rebuild_rejects_dead_helper():
         rebuild(g, [2, 0], 1, 1)
 
 
+def test_graph_records_are_values():
+    # the same labelled graph reached by two move orders is one dict key
+    g = rebuild(kill(initial_graph(4, 1), 3), [2, 0, 1], 1, 1)
+    a = kill(kill(g, 0), 4)
+    b = kill(kill(g, 4), 0)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    # another beta on one helper edge is another graph
+    newcomer = Incarnation(1, ((1, 1), (2, 2)))
+    c = FlowGraph(a.nodes[:4] + (newcomer,), a.live)
+    assert c != a and {a: 1}.get(c) is None
+    with pytest.raises(AttributeError):
+        a.live = frozenset()
+    with pytest.raises(AttributeError):
+        a.nodes[4].alpha = 2
+    with pytest.raises(ValueError, match="^node 0 is not live$"):
+        kill(a, 0)
+    with pytest.raises(ValueError, match="^helper 4 is not live$"):
+        rebuild(a, [1, 4], 1, 1)
+    with pytest.raises(ValueError, match="^alpha and beta must be positive$"):
+        rebuild(a, [1], 1, 0)
+
+
 def test_one_round_share_limited_value():
     # n=3, r=2, alpha=beta=1: the newcomer's flow must pass through the
     # helpers' saturated internal edges, so the value stays 2
@@ -138,7 +186,9 @@ def test_collector_restriction():
     # the collector reads only live nodes; killed ones keep their edges
     g = kill(kill(initial_graph(4, 2), 2), 3)
     assert collector_value(g) == 4
-    assert len(build_flow_network(g)[1]) == 2 * 4 + 2
+    # the dead nodes 2 and 3 have no live descendant, so they get no vertex
+    assert build_flow_network(g) == (2, [(0, 1, 2), (0, 1, 2)], 0, 1)
+    assert len(plain_flow_network(g)[1]) == 2 * 4 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +199,38 @@ def test_collector_value_matches_brute_force():
     rng = random.Random(43)
     for _ in range(200):
         g = random_small_graph(rng)
-        n_vertices, edges, s, t = build_flow_network(g)
+        n_vertices, edges, s, t = plain_flow_network(g)
         assert n_vertices <= 14
         assert collector_value(g) == brute_force_min_cut(n_vertices, edges, s, t)
+
+
+def contraction_cases():
+    """Graphs whose contracted network differs from the plain one:
+    name -> (graph, contracted vertex count, collector value)."""
+    g = initial_graph(3, 2)
+    one = rebuild(kill(g, 2), [0, 1], 2, 1)  # nodes 0, 1 live initial, 3 live
+    deep = rebuild(kill(one, 0), [1, 3], 2, 1)
+    branch = kill(kill(rebuild(kill(g, 0), [1, 2], 2, 1), 3), 2)
+    return {
+        # node 3's helper edges leave live nodes, so its in vertex is fed by none
+        "live initial node": (one, 3, 4),
+        # the dead initial nodes 0 and 1 keep only an out vertex, the dead
+        # node 3 both, and the live node 4 only an in vertex
+        "dead initial ancestors": (kill(kill(deep, 1), 3), 7, 2),
+        # node 3 and its helper 2 are dead and no live node descends from them
+        "dead branch": (rebuild(branch, [1], 2, 1), 3, 2),
+        "only initial nodes live": (kill(kill(rebuild(kill(g, 2), [0, 1], 2, 1), 3), 0), 2, 2),
+        "no live node": (kill(kill(initial_graph(2, 1), 0), 1), 2, 0),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(contraction_cases()))
+def test_contracted_network_matches_brute_force_on_the_plain_one(case):
+    g, n_vertices, value = contraction_cases()[case]
+    network = build_flow_network(g)
+    assert network[0] == n_vertices
+    assert all(u != 1 and v != 0 for u, v, _ in network[1])  # nothing leaves the sink
+    assert collector_value(g) == value == brute_force_min_cut(*plain_flow_network(g))
 
 
 def test_value_never_exceeds_n_alpha():

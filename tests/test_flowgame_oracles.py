@@ -1,8 +1,9 @@
 """Independent oracles for the game engine's fast paths.
 
 networkx decides isomorphism (for canonical_key) and max flow (for
-collector_value); a plain minimax with no table, no alpha-beta and no
-canonical keys checks minimax.  Every input is seeded.
+collector_value, on the plain uncontracted network); a plain minimax
+with no table, no alpha-beta and no canonical keys checks minimax.
+Every input is seeded.
 """
 
 import hashlib
@@ -19,7 +20,6 @@ from storagecodes import flowgame
 from storagecodes.flowgame import (
     FlowGraph,
     Incarnation,
-    build_flow_network,
     canonical_key,
     collector_value,
     initial_graph,
@@ -28,6 +28,8 @@ from storagecodes.flowgame import (
     minimax,
     rebuild,
 )
+
+from test_flowgame import contraction_cases, plain_flow_network
 
 
 def random_game_graph(rng: random.Random, max_n: int = 4, max_rounds: int = 4) -> FlowGraph:
@@ -185,6 +187,22 @@ def test_canonical_key_strings_are_pinned(oracle_graphs):
     assert hashlib.sha256(keys.encode()).hexdigest() == ORACLE_KEYS_SHA256
 
 
+# sha256 of the sorted keys of every labelled graph two searches key,
+# recorded before canonical_key read incarnation ids in place of an
+# index remap: the game's own keys must stay byte for byte the same.
+SEARCH_KEYS_SHA256 = "24c3c4cedb122f9b397fb6d3dd1568436c1f056f464c59beb41a4e5c6aa2d1e8"
+
+
+def test_search_keys_are_pinned(monkeypatch):
+    keys: List[str] = []
+    key_of = flowgame.canonical_key
+    monkeypatch.setattr(flowgame, "canonical_key", lambda g: keys.append(key_of(g)) or keys[-1])
+    minimax(make_game(4, 3, 3, 1), 6)
+    flowgame.verify_theorem("r2", 6, 2, 2, 1, 12)
+    assert len(keys) == 273
+    assert hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest() == SEARCH_KEYS_SHA256
+
+
 def test_killing_the_newcomer_restores_the_key():
     # The searcher reuses the killed state's key for its rebuild child's
     # first kill, the newcomer's, which nothing depends on yet.
@@ -243,7 +261,7 @@ def rebuilt_graph(rng: random.Random, n: int, alpha: int, beta: int, rounds: int
 
 
 def networkx_collector_value(g: FlowGraph) -> int:
-    n_vertices, edges, s, t = build_flow_network(g)
+    n_vertices, edges, s, t = plain_flow_network(g)
     network = nx.DiGraph()
     network.add_nodes_from(range(n_vertices))
     for u, v, c in edges:
@@ -257,8 +275,10 @@ def test_collector_value_matches_networkx_max_flow():
         n = rng.randrange(3, 7)
         alpha, beta = rng.randrange(1, 4), rng.randrange(1, 4)
         g = rebuilt_graph(rng, n, alpha, beta, rng.randrange(8 - n, 12))
-        assert build_flow_network(g)[0] > 14
+        assert plain_flow_network(g)[0] > 14
         assert collector_value(g) == networkx_collector_value(g)
+    for g, _, value in contraction_cases().values():
+        assert collector_value(g) == value == networkx_collector_value(g)
 
 
 def test_max_flow_augmentations_do_not_depend_on_capacity():
