@@ -2,7 +2,8 @@
 
 All randomness is seeded; identical invocations produce identical
 output.  The STORAGECODE_CAP environment variable overrides the search
-caps (subspace enumeration and the game memo table).
+caps (subspace enumeration and the game memo table).  A command raises
+on failure, and main reports the error by its row in FAILURES.
 """
 
 from __future__ import annotations
@@ -39,6 +40,20 @@ EXIT_VALIDATION = 3
 EXIT_SIMULATION = 4
 EXIT_CAP = 5
 
+# What a command raises -> its exit code and the start of its one-line
+# message on stderr.  The first matching row wins, so a subclass comes
+# before its base.  validate's violations are a result, not an error:
+# cmd_validate prints them and returns EXIT_VALIDATION itself.
+FAILURES = (
+    (codefile.CodeFileError, EXIT_PARSE, "parse error: "),
+    (EnumerationCapError, EXIT_CAP, "cap exceeded: "),
+    (flowgame.CapExceededError, EXIT_CAP, "cap exceeded before the bound was certified: "),
+    (SimulationError, EXIT_SIMULATION, "simulation failure "),
+    (ValueError, EXIT_PARSE, "bad parameters: "),  # CodeError is a ValueError
+    (TypeError, EXIT_PARSE, "bad parameters: "),
+    (OSError, EXIT_PARSE, "bad parameters: "),  # an unwritable --output
+)
+
 
 def _cap() -> Optional[int]:
     """STORAGECODE_CAP as a positive int, or None when it is unset."""
@@ -63,9 +78,9 @@ def _emit(args, pairs) -> None:
             print(f"{k}: {v}")
 
 
-def _bind(args, fn, defaults) -> Optional[dict]:
-    """fn's arguments from the options of the same name, or None after
-    reporting a given option that fn does not take.
+def _bind(args, fn, defaults) -> dict:
+    """fn's arguments from the options of the same name; a given option
+    that fn does not take is a ValueError.
 
     The options are parsed with argparse.SUPPRESS, so a left-out option
     is absent from args and takes its value from defaults.
@@ -73,17 +88,12 @@ def _bind(args, fn, defaults) -> Optional[dict]:
     params = inspect.signature(fn).parameters
     unused = [f"--{p}" for p in defaults if p not in params and hasattr(args, p)]
     if unused:
-        print(f"bad parameters: {args.name} does not take {', '.join(unused)}", file=sys.stderr)
-        return None
+        raise ValueError(f"{args.name} does not take {', '.join(unused)}")
     return {p: getattr(args, p, defaults[p]) for p in params}
 
 
 def cmd_validate(args) -> int:
-    try:
-        cf = codefile.load(args.path)
-    except codefile.CodeFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    cf = codefile.load(args.path)
     spec = cf.spec
     if spec is not None:
         _emit(args, [
@@ -99,16 +109,7 @@ def cmd_validate(args) -> int:
     problems = []
     k = recovery_dimension(code)
     beta = cf.declared.beta if cf.declared else 1
-    try:
-        cap = _cap()
-    except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        r = repair_locality(code, beta, cap)
-    except EnumerationCapError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    r = repair_locality(code, beta, _cap())
     if r is None:
         problems.append(f"no repair locality exists for beta={beta}")
     if cf.declared is not None:
@@ -147,14 +148,7 @@ def cmd_construct(args) -> int:
     the options of the same name.
     """
     build = named_codes()[args.name]
-    inputs = _bind(args, build, CONSTRUCT_DEFAULTS)
-    if inputs is None:
-        return EXIT_PARSE
-    try:
-        cf = codefile.from_named_code(build(**inputs))
-    except (ValueError, TypeError) as exc:  # CodeError is a ValueError
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    cf = codefile.from_named_code(build(**_bind(args, build, CONSTRUCT_DEFAULTS)))
     text = codefile.dumps(cf)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -167,38 +161,32 @@ def cmd_construct(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.rounds < 0:
-        print(f"bad parameters: --rounds must be >= 0, got {args.rounds}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        cf = codefile.load(args.path)
-    except codefile.CodeFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"--rounds must be >= 0, got {args.rounds}")
+    cf = codefile.load(args.path)
     code = cf.code
     x = BitVector(code.message_dim, random.Random(args.seed).randrange(1 << code.message_dim))
+    if cf.spec is None:
+        state = encode(code, x, cf.plans, cf.declared.beta if cf.declared else 1)
+    else:
+        state = encode_functional(cf.spec, code.node_bases, x)
+    # After the last round, which repairs the node it failed, every node
+    # is live: decode max(rounds, 1) random sets of recovery-dimension
+    # size.  Exact repair keeps every node's space, so an exact code's
+    # set is completed in index order until it decodes; a functional
+    # code's spaces move, and its spec alone decides what decodes.
+    k = recovery_dimension(code)
+    check_rng = random.Random(args.seed + 1)
+    script = random_failure_script(code.n, args.rounds, args.seed)
+    for _ in range(max(args.rounds, 1)):
+        nodes = check_rng.sample(range(code.n), k)
+        rest = (i for i in range(code.n) if i not in nodes)
+        while cf.spec is None and not is_recovery_set(code, nodes):
+            nodes.append(next(rest))
+        script.append(("collect", nodes))
     try:
-        if cf.spec is None:
-            state = encode(code, x, cf.plans, cf.declared.beta if cf.declared else 1)
-        else:
-            state = encode_functional(cf.spec, code.node_bases, x)
-        # After the last round, which repairs the node it failed, every node
-        # is live: decode max(rounds, 1) random sets of recovery-dimension
-        # size.  Exact repair keeps every node's space, so an exact code's
-        # set is completed in index order until it decodes; a functional
-        # code's spaces move, and its spec alone decides what decodes.
-        k = recovery_dimension(code)
-        check_rng = random.Random(args.seed + 1)
-        script = random_failure_script(code.n, args.rounds, args.seed)
-        for _ in range(max(args.rounds, 1)):
-            nodes = check_rng.sample(range(code.n), k)
-            rest = (i for i in range(code.n) if i not in nodes)
-            while cf.spec is None and not is_recovery_set(code, nodes):
-                nodes.append(next(rest))
-            script.append(("collect", nodes))
         run_scenario(state, script)
     except SimulationError as exc:
-        print(f"simulation failure at epoch {state.epoch}: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        raise SimulationError(f"at epoch {state.epoch}: {exc}") from exc
     text = trace_to_text(state.trace)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -254,13 +242,7 @@ BOUNDS = {
 def cmd_bound(args) -> int:
     fn = BOUNDS[args.name]
     inputs = _bind(args, fn, BOUND_DEFAULTS)
-    if inputs is None:
-        return EXIT_PARSE
-    try:
-        value, extra = fn(**inputs)
-    except (ValueError, TypeError) as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    value, extra = fn(**inputs)
     inputs.pop("case", None)  # reported among the extras
     print(bounds.BoundReport(args.name, inputs, value, extra=extra).to_record())
     return EXIT_OK
@@ -268,16 +250,9 @@ def cmd_bound(args) -> int:
 
 def cmd_game(args) -> int:
     horizon = 2 * args.n if args.horizon is None else args.horizon
-    try:
-        report = flowgame.verify_theorem(
-            args.case, args.n, args.r, args.alpha, args.beta, horizon, _cap()
-        )
-    except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except flowgame.CapExceededError as exc:
-        print(f"cap exceeded before the bound was certified: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    report = flowgame.verify_theorem(
+        args.case, args.n, args.r, args.alpha, args.beta, horizon, _cap()
+    )
     print(report.to_record())
     return EXIT_OK
 
@@ -356,8 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; an error it raises ends as the exit code and
+    one-line message of its first row in FAILURES."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        status, prefix = next((s, p) for cls, s, p in FAILURES if isinstance(exc, cls))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -135,6 +135,8 @@ def loads(text: str) -> CodeFile:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CodeFileError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CodeFileError("JSON is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise CodeFileError("top level must be an object")
     version = doc.get("format_version")
@@ -217,6 +219,6 @@ def load(path: str) -> CodeFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CodeFileError(str(exc)) from exc
     return loads(text)

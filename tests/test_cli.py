@@ -1,19 +1,22 @@
 """End-to-end tests for the command-line frontend and its exit codes."""
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import random
 
 import pytest
 
-from storagecodes import codefile
+from storagecodes import cli, codefile
 from storagecodes.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SIMULATION,
     EXIT_VALIDATION,
+    FAILURES,
     build_parser,
     main,
 )
@@ -90,6 +93,8 @@ OUT_OF_RANGE = {
     ),
     "repetition --n 0 --r 2": "repetition_code needs n >= r+1 = 3, got n=0",
     "repetition --n -3 --r 2": "repetition_code needs n >= r+1 = 3, got n=-3",
+    "repetition --n 12 --r 2": "repetition_code needs n <= r(r+1) = 6, got n=12",
+    "repetition --n 12 --r 2 --variant copy": "repetition_code needs n <= r(r+1) = 6, got n=12",
 }
 
 
@@ -240,12 +245,23 @@ def test_validate_functional_file(tmp_path, capsys):
     assert "functional" in out
 
 
-def test_validate_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"{ not json",
+        b'\xff\xfe{"format_version": 1}',  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # deeper than the JSON decoder recurses
+    ],
+    ids=["not-json", "not-utf8", "nested-too-deeply"],
+)
+def test_validate_parse_error(tmp_path, capsys, command, data):
     path = tmp_path / "broken.json"
-    path.write_text("{ not json")
-    code, out, err = run(capsys, "validate", str(path))
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
     assert code == EXIT_PARSE
     assert "parse error" in err
+    assert out == "" and err.startswith("parse error: ") and err.count("\n") == 1
 
 
 def test_validate_declared_mismatch(tmp_path, capsys):
@@ -763,6 +779,21 @@ def test_simulate_trace_to_file(tmp_path, capsys):
     assert lines[0].startswith("epoch=0 kind=encode")
 
 
+@pytest.mark.parametrize("command", ["construct", "simulate"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_bad_parameters(tmp_path, capsys, command, target):
+    code_path = write_code(tmp_path, capsys, "example1")
+    if target == "directory":
+        output, error = tmp_path, IsADirectoryError
+    else:
+        output, error = tmp_path / "no" / "such" / "x.json", FileNotFoundError
+    argv = ["construct", "example1"] if command == "construct" else ["simulate", str(code_path)]
+    code, out, err = run(capsys, "--output", str(output), *argv)
+    number = errno.EISDIR if error is IsADirectoryError else errno.ENOENT
+    message = error(number, os.strerror(number), str(output))
+    assert (code, out, err) == (EXIT_PARSE, "", f"bad parameters: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # bound
 
@@ -974,3 +1005,63 @@ def test_cap_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, command, 
     assert code == EXIT_PARSE
     assert out == ""
     assert err.count("\n") == 1 and "STORAGECODE_CAP must be a positive integer" in err
+
+
+# ---------------------------------------------------------------------------
+# the failure table in main
+
+
+def test_failure_rows_are_all_reachable():
+    # a row whose class derives from an earlier row's would never match
+    for i, (cls, _, _) in enumerate(FAILURES):
+        for earlier, _, _ in FAILURES[:i]:
+            assert not issubclass(cls, earlier), (cls, earlier)
+
+
+def test_failure_exits_are_documented():
+    assert {status for _, status, _ in FAILURES} <= {EXIT_PARSE, EXIT_SIMULATION, EXIT_CAP}
+
+
+def _raise_type_error(k, r, alpha, beta):
+    raise TypeError("unsupported operand")
+
+
+# row class -> (construct arguments for a code file or None, environment cap,
+# arguments that end in that class, with CODE standing for the file's path)
+FAILURE_INPUTS = {
+    codefile.CodeFileError: (None, None, ["validate", "MISSING"]),
+    cli.EnumerationCapError: (("rbt-mbr", "--n", "6"), "2", ["validate", "CODE"]),
+    cli.flowgame.CapExceededError: (
+        None, "1", ["game", "--case", "r2", "--n", "5", "--r", "2", "--alpha", "1", "--beta", "1"]
+    ),
+    cli.SimulationError: (("example1",), None, ["--rounds", "20", "simulate", "CODE"]),
+    ValueError: (None, None, ["construct", "repetition", "--n", "12", "--r", "2"]),
+    TypeError: (None, None, ["bound", "cutset"]),
+    OSError: (None, None, ["--output", "MISSING", "construct", "example1"]),
+}
+
+
+@pytest.mark.parametrize(
+    "row", range(len(FAILURES)), ids=[cls.__name__ for cls, _, _ in FAILURES]
+)
+def test_each_failure_row_ends_in_its_exit_and_one_line(tmp_path, capsys, monkeypatch, row):
+    cls, status, prefix = FAILURES[row]
+    construct_args, cap, argv = FAILURE_INPUTS[cls]
+    paths = {"MISSING": str(tmp_path / "missing" / "x.json")}
+    if construct_args is not None:
+        path = write_code(tmp_path, capsys, *construct_args)
+        if cls is cli.SimulationError:  # a stored plan that does not restore node 0
+            doc = json.loads(path.read_text())
+            _break_stored_plan(doc)
+            path.write_text(json.dumps(doc))
+        paths["CODE"] = str(path)
+    if cap is not None:
+        monkeypatch.setenv("STORAGECODE_CAP", cap)
+    if cls is TypeError:  # no command line input raises one; a bound that does
+        monkeypatch.setitem(cli.BOUNDS, "cutset", _raise_type_error)
+    # number each row's message, so that the line names the row that matched
+    numbered = tuple((c, s, f"{i}:{p}") for i, (c, s, p) in enumerate(FAILURES))
+    monkeypatch.setattr(cli, "FAILURES", numbered)
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (status, "")
+    assert err.startswith(f"{row}:{prefix}") and err.count("\n") == 1, err

@@ -190,6 +190,8 @@ def test_repetition_validation():
             repetition_code(0, 2, variant=variant)
         with pytest.raises(CodeError, match=r"needs alpha\*n/\(r\+1\) <= 64, got 65"):
             repetition_code(130, 1, alpha=1, variant=variant)
+        with pytest.raises(CodeError, match=r"needs n <= r\(r\+1\) = 6, got n=12"):
+            repetition_code(12, 2, variant=variant)
 
 
 # ---------------------------------------------------------------------------
