@@ -71,7 +71,7 @@ def mbr_point(k: int, r: int, beta: int) -> Tuple[int, int]:
 
 
 def linear_locality_distance_bound(k: int, r: int, d: int) -> int:
-    """Smallest code length allowed by n - k >= ceil(k/r) + d - 2."""
+    """Gopalan et al.'s least n for scalar (alpha = 1) linear codes: n - k >= ceil(k/r) + d - 2."""
     if min(k, r, d) < 1:
         raise ValueError("inputs must be positive")
     return k + ceil(k / r) + d - 2

@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from . import bounds, codefile, flowgame
 from .codes import (
+    CodeParams,
     is_recovery_set,
     rate_and_overhead,
     recovery_dimension,
@@ -130,7 +131,7 @@ def cmd_validate(args) -> int:
         return EXIT_VALIDATION
     rate, overhead = rate_and_overhead(code)
     _emit(args, [
-        ("profile", f"({code.message_dim}; {code.n},{k},{r},{code.alpha},{beta})"),
+        ("profile", CodeParams(code.message_dim, code.n, k, r, code.alpha, beta)),
         ("rate", rate),
         ("overhead", overhead),
     ])

@@ -22,7 +22,6 @@ from .gf2 import (
     _reduce,
     _rref_words,
     _subspace_words,
-    rank,
     subspace_sum,
 )
 
@@ -46,8 +45,8 @@ class CodeParams:
         for name in ("m", "n", "k", "r", "alpha", "beta"):
             if getattr(self, name) < 1:
                 raise CodeError(f"{name} must be positive")
-        if not self.k <= self.r <= self.n - 1:
-            raise CodeError(f"need k <= r <= n-1, got k={self.k}, r={self.r}, n={self.n}")
+        if self.k > self.n or self.r > self.n - 1:
+            raise CodeError(f"need k <= n and r <= n-1, got k={self.k}, r={self.r}, n={self.n}")
 
     def __str__(self) -> str:
         return f"({self.m}; {self.n},{self.k},{self.r},{self.alpha},{self.beta})"
@@ -95,7 +94,7 @@ def validate(code: StorageCode) -> List[str]:
             violations.append(
                 f"node {i}: {mat.row_count} basis rows, expected alpha = {code.alpha}"
             )
-        elif rank(mat) != code.alpha:
+        elif code.subspaces[i].dim != code.alpha:
             violations.append(f"node {i}: basis rows are dependent (dim < alpha)")
     if not violations:
         total = subspace_sum(list(code.subspaces))

@@ -274,8 +274,6 @@ def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = 
         raise CodeError(
             f"repetition_code needs alpha*n/(r+1) <= {MAX_AMBIENT_DIM}, got {alpha * groups}"
         )
-    if n > r * (r + 1):  # more groups than r: CodeParams needs k <= r
-        raise CodeError(f"repetition_code needs n <= r(r+1) = {r * (r + 1)}, got n={n}")
     beta = alpha // senders
     # node i holds the unit rows of its group's alpha coordinates
     nodes = [[1 << (i // (r + 1) * alpha + s) for s in range(alpha)] for i in range(n)]

@@ -519,14 +519,17 @@ def minimax(
 
 @dataclass
 class GameReport:
-    """verify_theorem outcome: game value against the closed-form bound."""
+    """verify_theorem outcome: game value against the closed-form bound.
+
+    holds and tight are claimed at horizon_searched, where deepening
+    stopped; holds certifies every deeper horizon too, tight does not.
+    """
 
     case: str
     n: int
     r: int
     alpha: int
     beta: int
-    horizon_requested: int
     horizon_searched: int
     value: int
     formula: int
@@ -582,7 +585,6 @@ def verify_theorem(
         r=r,
         alpha=alpha,
         beta=beta,
-        horizon_requested=horizon,
         horizon_searched=game.horizon,
         value=game.value,
         formula=formula,

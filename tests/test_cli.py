@@ -93,8 +93,8 @@ OUT_OF_RANGE = {
     ),
     "repetition --n 0 --r 2": "repetition_code needs n >= r+1 = 3, got n=0",
     "repetition --n -3 --r 2": "repetition_code needs n >= r+1 = 3, got n=-3",
-    "repetition --n 12 --r 2": "repetition_code needs n <= r(r+1) = 6, got n=12",
-    "repetition --n 12 --r 2 --variant copy": "repetition_code needs n <= r(r+1) = 6, got n=12",
+    "repetition --n 7 --r 2": "r+1 = 3 must divide n = 7",
+    "repetition --n 7 --r 2 --variant copy": "r+1 = 3 must divide n = 7",
 }
 
 
@@ -137,6 +137,10 @@ CONSTRUCT_PINS = {
     ),
     "repetition --n 8 --r 3 --alpha 6 --variant copy": (
         "8aec77d5a1e53985c6b12c3381a672995e3f009c057c7e76d96615886b05f12c"
+    ),
+    "repetition --n 12 --r 2": "388041f0125363e45b68e40540679ed1fb4a17f5751293df047c74aadbaf815d",
+    "repetition --n 12 --r 2 --variant copy": (
+        "58ec6ebc839dc69e12d2005ddbb6306892e4fefc06486aa3e288a6f7f2d493c7"
     ),
     "repetition --n 56 --r 7 --alpha 7 --variant copy": (
         "646a8deddab63e54ad2fa666ce8ca3d18acfa3bda5daa98ca501b2284dca0480"
@@ -229,6 +233,17 @@ def test_validate_rbt_mbr_n8(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == EXIT_OK
     assert "profile: (28; 8,7,7,7,1)" in out
+
+
+@pytest.mark.parametrize(
+    "variant, profile", [("split", "(8; 12,4,2,2,1)"), ("copy", "(8; 12,4,1,2,2)")]
+)
+def test_validate_repetition_with_more_groups_than_r(tmp_path, capsys, variant, profile):
+    # four groups against r = 2: k = 4 > r, which a profile may state
+    path = write_code(tmp_path, capsys, "repetition", "--n", "12", "--r", "2", "--variant", variant)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == f"profile: {profile}"
 
 
 def test_validate_record_stream(tmp_path, capsys):
@@ -452,6 +467,12 @@ def _set(*path_and_value):
          "bad repair plan for node 0: a repair plan needs at least one helper"),
         (_set("name", ["x"]), "name must be a string, got ['x']"),
         (_set("name", None), "name must be a string, got None"),
+        # k > r is a valid profile; k > n, r > n-1 and a non-positive field are not
+        (_set("declared", "k", 5),
+         "bad declared parameters: need k <= n and r <= n-1, got k=5, r=3, n=4"),
+        (_set("declared", "r", 4),
+         "bad declared parameters: need k <= n and r <= n-1, got k=2, r=4, n=4"),
+        (_set("declared", "beta", 0), "bad declared parameters: beta must be positive"),
     ],
 )
 def test_non_integer_fields_and_repeated_helpers_are_parse_errors(
@@ -1035,7 +1056,7 @@ FAILURE_INPUTS = {
         None, "1", ["game", "--case", "r2", "--n", "5", "--r", "2", "--alpha", "1", "--beta", "1"]
     ),
     cli.SimulationError: (("example1",), None, ["--rounds", "20", "simulate", "CODE"]),
-    ValueError: (None, None, ["construct", "repetition", "--n", "12", "--r", "2"]),
+    ValueError: (None, None, ["construct", "repetition", "--n", "7", "--r", "2"]),
     TypeError: (None, None, ["bound", "cutset"]),
     OSError: (None, None, ["--output", "MISSING", "construct", "example1"]),
 }

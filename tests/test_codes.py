@@ -61,11 +61,13 @@ def replicated_pair():
 
 def test_code_params_ordering_invariant():
     CodeParams(4, 4, 2, 3, 2, 1)
-    with pytest.raises(CodeError):
-        CodeParams(4, 4, 3, 2, 2, 1)  # k > r
-    with pytest.raises(CodeError):
+    CodeParams(4, 4, 3, 2, 2, 1)  # k > r: a decode reads more nodes than a repair
+    CodeParams(49, 56, 7, 1, 7, 7)  # the copy-variant 56-node repetition code
+    with pytest.raises(CodeError, match="need k <= n and r <= n-1"):
+        CodeParams(4, 4, 5, 2, 2, 1)  # k > n
+    with pytest.raises(CodeError, match="need k <= n and r <= n-1"):
         CodeParams(4, 4, 2, 4, 2, 1)  # r > n-1
-    with pytest.raises(CodeError):
+    with pytest.raises(CodeError, match="k must be positive"):
         CodeParams(4, 4, 0, 2, 2, 1)  # nonpositive
 
 

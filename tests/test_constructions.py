@@ -190,8 +190,11 @@ def test_repetition_validation():
             repetition_code(0, 2, variant=variant)
         with pytest.raises(CodeError, match=r"needs alpha\*n/\(r\+1\) <= 64, got 65"):
             repetition_code(130, 1, alpha=1, variant=variant)
-        with pytest.raises(CodeError, match=r"needs n <= r\(r\+1\) = 6, got n=12"):
-            repetition_code(12, 2, variant=variant)
+        with pytest.raises(CodeError, match=r"r\+1 = 3 must divide n = 7"):
+            repetition_code(7, 2, variant=variant)
+    # more groups than r: k = 4 > r = 2 is a valid profile
+    assert str(repetition_code(12, 2).declared) == "(8; 12,4,2,2,1)"
+    assert str(repetition_code(12, 2, variant="copy").declared) == "(8; 12,4,2,2,2)"
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,17 @@ def test_verify_theorem2_holds_small():
             assert report.holds, (n, alpha, beta)
 
 
+def test_r2_tight_is_claimed_at_the_horizon_searched_only():
+    # alpha > r*beta: deepening stops at horizon 2, where the value meets
+    # the formula, yet deeper horizons go lower (frozen exact values)
+    report = verify_theorem("r2", 4, 2, 3, 1, 8)
+    assert report.to_record().startswith(
+        "case=r2 n=4 r=2 alpha=3 beta=1 horizon=2 value=6 formula=6 holds=1 tight=1 "
+    )
+    values = [minimax(make_game(4, 2, 3, 1), h).value for h in range(1, 9)]
+    assert values == [9, 6, 5, 4, 4, 4, 4, 4]
+
+
 def test_report_record_format():
     report = verify_theorem("r2", 3, 2, 1, 1, 6)
     record = report.to_record()
