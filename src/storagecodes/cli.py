@@ -110,7 +110,7 @@ def cmd_validate(args) -> int:
     problems = []
     k = recovery_dimension(code)
     beta = cf.declared.beta if cf.declared else 1
-    r = repair_locality(code, beta, _cap())
+    r = repair_locality(code, beta, _cap(), cf.plans)
     if r is None:
         problems.append(f"no repair locality exists for beta={beta}")
     if cf.declared is not None:

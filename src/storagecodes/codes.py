@@ -270,28 +270,35 @@ def find_repair_plan(
 
 
 def repair_locality(
-    code: StorageCode, beta: int, cap: Optional[int] = None
+    code: StorageCode,
+    beta: int,
+    cap: Optional[int] = None,
+    plans: Optional[Dict[int, RepairPlan]] = None,
 ) -> Optional[int]:
     """Smallest r such that every node has some repair set of size r.
 
-    Per node the helper-set size is minimized; the result is the maximum
-    over nodes.  Returns None when some node has no repair set of any
-    size up to n-1.
+    None when some node has no repair set.  A node whose plan in plans
+    is valid and sends beta walks down from the plan's size while a set
+    one smaller has a plan; when every node has dimension >= beta, a
+    superset of a repair set is one too, so the walk ends at the
+    smallest.  Any other node scans the sizes up from ceil(dim/beta).
     """
+
+    def fits(failed: int, size: int) -> bool:
+        others = [i for i in range(code.n) if i != failed]
+        return any(find_repair_plan(code, failed, s, beta, cap) for s in combinations(others, size))
+
     worst = 0
     for failed in range(code.n):
-        others = [i for i in range(code.n) if i != failed]
-        best: Optional[int] = None
         lower = max(1, ceil(code.subspaces[failed].dim / beta))
-        for size in range(lower, code.n):
-            for subset in combinations(others, size):
-                if find_repair_plan(code, failed, subset, beta, cap) is not None:
-                    best = size
-                    break
-            if best is not None:
-                break
-        if best is None:
-            return None
+        plan = (plans or {}).get(failed)
+        if plan and (plan.failed, plan.beta) == (failed, beta) and not validate_plan(code, plan):
+            best = len(plan.helpers)
+            while best > lower and fits(failed, best - 1):
+                best -= 1
+        else:
+            best = next((size for size in range(lower, code.n) if fits(failed, size)), None)
+            if best is None:
+                return None
         worst = max(worst, best)
     return worst
-

@@ -22,9 +22,7 @@ from .codes import (
     validate,
     validate_plan,
 )
-from .gf2 import MAX_AMBIENT_DIM, BitMatrix, Subspace, _reduce, _rref_words
-
-MAX_RBT_NODES = 11  # C(n,2) must fit the 64-bit vector packing
+from .gf2 import BitMatrix, Subspace, _reduce, _rref_words
 
 
 @dataclass(frozen=True)
@@ -219,8 +217,8 @@ def rbt_mbr(n: int) -> NamedCode:
     Node v stores the symbols x_{v,j} for j != v; a failed node gets
     each of them back verbatim from the opposite endpoint.
     """
-    if not 3 <= n <= MAX_RBT_NODES:
-        raise CodeError(f"rbt_mbr needs 3 <= n <= {MAX_RBT_NODES}")
+    if n < 3:
+        raise CodeError("rbt_mbr needs n >= 3")
     index = {p: i for i, p in enumerate(pair_coordinates(n))}
 
     def x(v: int, j: int) -> int:
@@ -270,10 +268,6 @@ def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = 
     if alpha % senders != 0:
         raise CodeError(f"split variant needs r | alpha, got r={r}, alpha={alpha}")
     groups = n // (r + 1)
-    if alpha * groups > MAX_AMBIENT_DIM:
-        raise CodeError(
-            f"repetition_code needs alpha*n/(r+1) <= {MAX_AMBIENT_DIM}, got {alpha * groups}"
-        )
     beta = alpha // senders
     # node i holds the unit rows of its group's alpha coordinates
     nodes = [[1 << (i // (r + 1) * alpha + s) for s in range(alpha)] for i in range(n)]

@@ -1,10 +1,10 @@
 """Exact linear algebra over GF(2) with int-bitset vectors.
 
-Vectors of length m are packed into a single Python int; bit i of the
-word is coordinate i.  The textual encoding writes coordinate 0 first,
-so "1001" is e0 + e3.  Subspaces are kept in reduced row-echelon form,
-which makes them canonical: two Subspace values compare equal iff they
-are the same subspace.
+Vectors of any length m >= 1 are packed into a single Python int (ints
+have no word size); bit i of the word is coordinate i.  The textual
+encoding writes coordinate 0 first, so "1001" is e0 + e3.  Subspaces
+are kept in reduced row-echelon form, which makes them canonical: two
+Subspace values compare equal iff they are the same subspace.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
-MAX_AMBIENT_DIM = 64
-
 
 class EnumerationCapError(RuntimeError):
     """Raised when a subspace enumeration would exceed the configured cap."""
 
 
 def _check_word(length: int, word: int) -> None:
-    if not 0 < length <= MAX_AMBIENT_DIM:
-        raise ValueError(f"vector length must be in 1..{MAX_AMBIENT_DIM}")
+    if length < 1:
+        raise ValueError("vector length must be positive")
     if not 0 <= word < (1 << length):
         raise ValueError("word has bits outside the vector length")
 

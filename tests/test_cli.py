@@ -80,8 +80,6 @@ def test_construct_bad_parameters(capsys):
 
 # construct arguments -> the one-line message each is rejected with
 OUT_OF_RANGE = {
-    "parity --r 70": "vector length must be in 1..64",  # m = 70 exceeds the 64-bit packing
-    "repetition --n 130 --r 1 --alpha 1": "repetition_code needs alpha*n/(r+1) <= 64, got 65",
     "repetition --n 6 --r 0": "repetition_code needs r >= 1",
     "repetition --n 6 --r 2 --alpha 0": "repetition_code needs alpha >= 1, got alpha=0",
     "repetition --n 6 --r 2 --alpha -2": "repetition_code needs alpha >= 1, got alpha=-2",
@@ -119,9 +117,11 @@ CONSTRUCT_PINS = {
     "rbt-mbr --n 9": "1417d9b96c2884c3291447ac4af0262cacbeb83a164069ae164f24763a9e8997",
     "rbt-mbr --n 10": "d6c315d8b779b9206ed6bf46aa51ed4f03ce7b1d3ea3e2b6944df7163bbcbf9f",
     "rbt-mbr --n 11": "3f45a1ae47e0613e7fab768a0b610af89efb17ea1c61afceaa58c26d2b9da3ed",
+    "rbt-mbr --n 12": "7ed729bcc8063dd1193a7546584a6dbb338e2fe4c622cc6c278b74e933f2d16f",  # m = 66
     "parity --r 1": "ef92f66d9e617144f37f003922b0f8aa2d832beecb6d78957c8ac28845c291e9",
     "parity --r 4": "b857a8d45e40ff6b5d45337dc8c6ea47e3ed8a41fad4055d0dff4668600837cc",
     "parity --r 64": "16d83213d24a9c67a490d289cd6858eff411945200f6c1f5e882bf92e3a75d1a",
+    "parity --r 70": "53fa76b07be628badfc9891f8353b7a43d7a786f6d4cdb8a09ab44de38cc593a",
     "repetition --n 6 --r 2 --alpha 2": "0d3ee45170461fde8bb29114cbdfc9c339b3f07f2016db6b8f58e117e9d245bc",
     "repetition --n 6 --r 2 --alpha 4": "d74a66a9e2902f3166ec179cfb40f4c13365471434ee3b2eb74ef474b860cdc6",
     "repetition --n 6 --r 2 --alpha 2 --variant copy": (
@@ -144,6 +144,9 @@ CONSTRUCT_PINS = {
     ),
     "repetition --n 56 --r 7 --alpha 7 --variant copy": (
         "646a8deddab63e54ad2fa666ce8ca3d18acfa3bda5daa98ca501b2284dca0480"
+    ),
+    "repetition --n 130 --r 1 --alpha 1": (  # m = 65
+        "4e95f67ef4b65789dabd2b0d6288afd568fc3bb2ebc8937d009f29097068885e"
     ),
 }
 
@@ -228,7 +231,8 @@ def test_validate_good_file(tmp_path, capsys):
 
 
 def test_validate_rbt_mbr_n8(tmp_path, capsys):
-    # repair_locality searches every node's helper sets of size n - 1
+    # each stored plan has n - 1 helpers, which ceil(alpha/beta) = n - 1
+    # already meets, so repair_locality searches no helper set
     path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "8")
     code, out, err = run(capsys, "validate", str(path))
     assert code == EXIT_OK
@@ -678,12 +682,20 @@ def test_mutated_code_files_end_with_a_documented_exit(tmp_path, capsys, name):
                 assert len(lines) <= 1, context
 
 
+def _drop_plans(doc):
+    del doc["repair_plans"]
+
+
 def test_validate_cap_exceeded(tmp_path, capsys, monkeypatch):
+    # without stored plans, repair_locality searches each node's helpers
     path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "6")
+    doc = json.loads(path.read_text())
+    _drop_plans(doc)
+    path.write_text(json.dumps(doc))
     monkeypatch.setenv("STORAGECODE_CAP", "2")
     code, out, err = run(capsys, "validate", str(path))
-    assert code == EXIT_CAP
-    assert "cap exceeded" in err
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == "cap exceeded: 31 subspaces of dimension 1 in GF(2)^5 exceeds cap 2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +781,18 @@ def test_simulate_decodes_from_more_than_64_stored_symbols(tmp_path, capsys):
     code, out, err = run(capsys, "--rounds", "1", "simulate", str(path))
     assert code == EXIT_OK and err == ""
     assert "decode_checks_passed: 1" in out
+
+
+def test_simulate_past_64_coordinates(tmp_path, capsys):
+    # rbt-mbr n=12 has m = 66: every repair restores its node's block
+    # exactly (an exact repair that does not exits 4) and every decode
+    # recovers the message
+    path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "12")
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [
+        "repairs: 100", "symbols_transferred: 1100", "decode_checks_passed: 100"
+    ]
 
 
 def test_simulate_decode_sets_are_completed_until_they_decode(tmp_path, capsys):
@@ -1060,6 +1084,11 @@ FAILURE_INPUTS = {
     TypeError: (None, None, ["bound", "cutset"]),
     OSError: (None, None, ["--output", "MISSING", "construct", "example1"]),
 }
+# row class -> the edit its code file gets before the run
+FAILURE_EDITS = {
+    cli.SimulationError: _break_stored_plan,  # a stored plan that does not restore node 0
+    cli.EnumerationCapError: _drop_plans,  # so that validate searches helper sets
+}
 
 
 @pytest.mark.parametrize(
@@ -1071,9 +1100,9 @@ def test_each_failure_row_ends_in_its_exit_and_one_line(tmp_path, capsys, monkey
     paths = {"MISSING": str(tmp_path / "missing" / "x.json")}
     if construct_args is not None:
         path = write_code(tmp_path, capsys, *construct_args)
-        if cls is cli.SimulationError:  # a stored plan that does not restore node 0
+        if cls in FAILURE_EDITS:
             doc = json.loads(path.read_text())
-            _break_stored_plan(doc)
+            FAILURE_EDITS[cls](doc)
             path.write_text(json.dumps(doc))
         paths["CODE"] = str(path)
     if cap is not None:

@@ -145,6 +145,7 @@ REGISTRY_CODES = [
     partial(repetition_code, 6, 2, variant="copy"),
     partial(repetition_code, 6, 2, 4, "copy"),
     partial(repetition_code, 8, 3, 6),
+    partial(repetition_code, 12, 2),  # k = 4 > r = 2
     example3,
 ]
 
@@ -407,15 +408,59 @@ def test_repair_locality_rotating_code():
     assert repair_locality(code, beta=2) == 2
 
 
+def padded(code, plan):
+    """plan plus the first node outside it, sending its first beta rows."""
+    extra = next(i for i in range(code.n) if i != plan.failed and i not in plan.helpers)
+    space = Subspace.spanned_by(code.message_dim, code.node_bases[extra].rows[: plan.beta])
+    return RepairPlan(
+        plan.failed, plan.helpers + (extra,), {**plan.repair_spaces, extra: space}, plan.beta
+    )
+
+
 def test_repair_locality_matches_brute_force():
-    codes = [
-        four_rotations(),
-        replicated_pair(),
-        StorageCode.from_basis_strings([["100"], ["010"], ["001"], ["111"]]),
+    # each code with the plans that repair_locality is given: none, a
+    # registry code's own, or each of those with one helper too many,
+    # which is still a repair set to walk down from
+    cases = [
+        (code, beta, [None])
+        for code in (
+            four_rotations(),
+            replicated_pair(),
+            StorageCode.from_basis_strings([["100"], ["010"], ["001"], ["111"]]),
+        )
+        for beta in (1, 2)
     ]
-    for code in codes:
-        for beta in (1, 2):
-            assert repair_locality(code, beta) == brute_locality(code, beta)
+    for build in REGISTRY_CODES:
+        named = build()
+        if named.spec is None:
+            code, plans = named.code, named.repair_plans
+            bigger = {f: padded(code, p) for f, p in plans.items() if len(p.helpers) < code.n - 1}
+            assert all(validate_plan(code, p) == [] for p in bigger.values())
+            cases.append((code, named.declared.beta, [plans, bigger]))
+    # a plan that does not cover its node, or that sends another beta, is
+    # no repair set: walking down from it would report too small an r
+    code = single_parity(3).code
+    wrong = {
+        f: RepairPlan(f, ((f + 1) % 4,), {(f + 1) % 4: code.subspaces[(f + 1) % 4]}, 1)
+        for f in range(4)
+    }
+    assert all(validate_plan(code, p) for p in wrong.values())
+    copy = repetition_code(6, 2, variant="copy")  # one helper sending beta = 2
+    cases += [(code, 1, [wrong]), (copy.code, 1, [copy.repair_plans])]
+    for code, beta, plan_sets in cases:
+        expected = brute_locality(code, beta)
+        for plans in plan_sets:
+            assert repair_locality(code, beta, plans=plans) == expected
+    assert brute_locality(single_parity(3).code, 1) == 3 and brute_locality(copy.code, 1) == 2
+
+
+def test_repair_locality_searches_nothing_below_a_minimal_plan():
+    # rbt-mbr's plans have n - 1 = ceil(alpha/beta) helpers, so with them no
+    # helper set is searched and an enumeration cap of 2 is never reached
+    named = rbt_mbr(6)
+    assert repair_locality(named.code, 1, cap=2, plans=named.repair_plans) == 5
+    with pytest.raises(EnumerationCapError):
+        repair_locality(named.code, 1, cap=2)
 
 
 def test_repair_locality_none_when_unrepairable():

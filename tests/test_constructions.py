@@ -128,8 +128,8 @@ def test_rbt_mbr_repair_locality_by_search(n):
 def test_rbt_mbr_range_check():
     with pytest.raises(CodeError):
         rbt_mbr(2)
-    with pytest.raises(CodeError):
-        rbt_mbr(12)
+    # C(12,2) = 66 coordinates: rows are ints of any width
+    assert str(rbt_mbr(12).declared) == "(66; 12,11,11,11,1)"
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +188,13 @@ def test_repetition_validation():
             repetition_code(6, 2, alpha=-2, variant=variant)
         with pytest.raises(CodeError, match=r"needs n >= r\+1 = 3, got n=0"):
             repetition_code(0, 2, variant=variant)
-        with pytest.raises(CodeError, match=r"needs alpha\*n/\(r\+1\) <= 64, got 65"):
-            repetition_code(130, 1, alpha=1, variant=variant)
         with pytest.raises(CodeError, match=r"r\+1 = 3 must divide n = 7"):
             repetition_code(7, 2, variant=variant)
     # more groups than r: k = 4 > r = 2 is a valid profile
     assert str(repetition_code(12, 2).declared) == "(8; 12,4,2,2,1)"
     assert str(repetition_code(12, 2, variant="copy").declared) == "(8; 12,4,2,2,2)"
+    # alpha*n/(r+1) = 65 coordinates
+    assert str(repetition_code(130, 1, alpha=1).declared) == "(65; 130,65,1,1,1)"
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,17 @@ def test_bitmatrix_round_trip():
 
 
 def test_bitmatrix_constructors_check_input():
-    for width, words in ((3, [8]), (3, [-1]), (0, [0]), (65, [1])):
+    for width, words in ((3, [8]), (3, [-1]), (0, [0]), (65, [1 << 65])):
         with pytest.raises(ValueError):
             BitMatrix.from_words(width, words)
-    for texts in ([], ["10", "1"], ["1" * 65], ["1a"]):
+    for texts in ([], ["10", "1"], ["1a"]):
         with pytest.raises(ValueError):
             BitMatrix.from_strings(texts)
+    # rows wider than 64 coordinates round-trip
+    wide = BitMatrix.from_words(65, [1, 1 << 64])
+    assert wide.to_strings() == ["1" + "0" * 64, "0" * 64 + "1"]
+    assert BitMatrix.from_strings(["1" * 65]).words() == [(1 << 65) - 1]
+    assert BitMatrix.from_strings(wide.to_strings()) == wide
     # equal iff same width and same rows
     assert BitMatrix.from_words(3, [1, 6]) == BitMatrix.from_strings(["100", "011"])
     assert BitMatrix.from_words(3, [1]) != BitMatrix.from_words(4, [1])
@@ -372,6 +377,30 @@ def test_solve_words_matches_exhaustive_search(case, rhs_seed):
         assert got in solutions
     else:
         assert got is None
+
+
+@ORACLE
+@given(word_lists(count=2), st.integers(0, 127), st.sampled_from([60, 64, 100]))
+def test_kernel_commutes_with_a_shift_past_bit_64(case, rhs_seed, s):
+    # words in coordinates s..s+m-1 of GF(2)^(m+s): the elimination is the
+    # same as at coordinates 0..m-1, so rows wider than 64 bits need nothing else
+    m, xs, ys = case
+
+    def shifted(words):
+        return [w << s for w in words]
+
+    def space(width, words):
+        return Subspace.spanned_by(width, [BitVector(width, w) for w in words])
+
+    assert _rref_words(shifted(xs)) == shifted(_rref_words(xs))
+    a, b = space(m, xs), space(m, ys)
+    wide_a, wide_b = space(m + s, shifted(xs)), space(m + s, shifted(ys))
+    for op in (lambda p, q: subspace_sum([p, q]), subspace_intersect):
+        assert op(wide_a, wide_b).basis.words() == shifted(op(a, b).basis.words())
+    bits = [(rhs_seed >> i) & 1 for i in range(len(xs))]
+    got_rank, got = _solve_words([w | b << m for w, b in zip(xs, bits)], m)
+    wide = _solve_words([w << s | b << (m + s) for w, b in zip(xs, bits)], m + s)
+    assert wide == (got_rank, None if got is None else got << s)
 
 
 def test_solve_words_without_rows():
