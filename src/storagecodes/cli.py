@@ -1,9 +1,10 @@
 """Command-line frontend: validate, construct, simulate, bound, game.
 
 All randomness is seeded; identical invocations produce identical
-output.  The STORAGECODE_CAP environment variable overrides the search
-caps (subspace enumeration and the game memo table).  A command raises
-on failure, and main reports the error by its row in FAILURES.
+output.  The STORAGECODE_CAP environment variable overrides two search
+caps: validate's subspace enumeration and game's memo table; the other
+commands do not read it.  A command raises on failure, and main reports
+the error by its row in FAILURES.
 """
 
 from __future__ import annotations
@@ -70,18 +71,19 @@ def _cap() -> Optional[int]:
     return cap
 
 
-def _emit(args, pairs) -> None:
+def _emit(format, pairs) -> None:
     """Print either prose ('key: value') or a flat record stream."""
-    if args.format == "record-stream":
+    if format == "record-stream":
         print(" ".join(f"{k}={v}" for k, v in pairs))
     else:
         for k, v in pairs:
             print(f"{k}: {v}")
 
 
-def _bind(args, fn, defaults) -> dict:
-    """fn's arguments from the options of the same name; a given option
-    that fn does not take is a ValueError.
+def _bind(name, fn, args, defaults) -> dict:
+    """fn's arguments from the options in defaults of the same name; a
+    given option that fn does not take is a ValueError that names it
+    and name, the command, family or bound that fn runs.
 
     The options are parsed with argparse.SUPPRESS, so a left-out option
     is absent from args and takes its value from defaults.
@@ -89,15 +91,20 @@ def _bind(args, fn, defaults) -> dict:
     params = inspect.signature(fn).parameters
     unused = [f"--{p}" for p in defaults if p not in params and hasattr(args, p)]
     if unused:
-        raise ValueError(f"{args.name} does not take {', '.join(unused)}")
-    return {p: getattr(args, p, defaults[p]) for p in params}
+        raise ValueError(f"{name} does not take {', '.join(unused)}")
+    return {p: getattr(args, p, defaults[p]) for p in params if p in defaults}
 
 
-def cmd_validate(args) -> int:
+# The common options, with the value each takes when it is not given.  A
+# command takes those its function has parameters for, and no others.
+COMMON_DEFAULTS = {"seed": 0, "output": None, "horizon": None, "rounds": 100, "format": "text"}
+
+
+def cmd_validate(args, format) -> int:
     cf = codefile.load(args.path)
     spec = cf.spec
     if spec is not None:
-        _emit(args, [
+        _emit(format, [
             ("mode", "functional"),
             ("spec", spec.name),
             ("m", spec.ambient_dim),
@@ -130,7 +137,7 @@ def cmd_validate(args) -> int:
             print(f"violation: {p}", file=sys.stderr)
         return EXIT_VALIDATION
     rate, overhead = rate_and_overhead(code)
-    _emit(args, [
+    _emit(format, [
         ("profile", CodeParams(code.message_dim, code.n, k, r, code.alpha, beta)),
         ("rate", rate),
         ("overhead", overhead),
@@ -142,30 +149,30 @@ def cmd_validate(args) -> int:
 CONSTRUCT_DEFAULTS = {"n": 4, "r": 3, "alpha": None, "variant": "split"}
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args, output) -> int:
     """Build a registry code and write its code file.
 
     Each constructor's parameters (n, r, alpha, variant) are taken from
     the options of the same name.
     """
     build = named_codes()[args.name]
-    cf = codefile.from_named_code(build(**_bind(args, build, CONSTRUCT_DEFAULTS)))
+    cf = codefile.from_named_code(build(**_bind(args.name, build, args, CONSTRUCT_DEFAULTS)))
     text = codefile.dumps(cf)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.output}")
+        print(f"wrote {output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    if args.rounds < 0:
-        raise ValueError(f"--rounds must be >= 0, got {args.rounds}")
+def cmd_simulate(args, seed, rounds, output, format) -> int:
+    if rounds < 0:
+        raise ValueError(f"--rounds must be >= 0, got {rounds}")
     cf = codefile.load(args.path)
     code = cf.code
-    x = BitVector(code.message_dim, random.Random(args.seed).randrange(1 << code.message_dim))
+    x = BitVector(code.message_dim, random.Random(seed).randrange(1 << code.message_dim))
     if cf.spec is None:
         state = encode(code, x, cf.plans, cf.declared.beta if cf.declared else 1)
     else:
@@ -176,9 +183,9 @@ def cmd_simulate(args) -> int:
     # set is completed in index order until it decodes; a functional
     # code's spaces move, and its spec alone decides what decodes.
     k = recovery_dimension(code)
-    check_rng = random.Random(args.seed + 1)
-    script = random_failure_script(code.n, args.rounds, args.seed)
-    for _ in range(max(args.rounds, 1)):
+    check_rng = random.Random(seed + 1)
+    script = random_failure_script(code.n, rounds, seed)
+    for _ in range(max(rounds, 1)):
         nodes = check_rng.sample(range(code.n), k)
         rest = (i for i in range(code.n) if i not in nodes)
         while cf.spec is None and not is_recovery_set(code, nodes):
@@ -189,12 +196,12 @@ def cmd_simulate(args) -> int:
     except SimulationError as exc:
         raise SimulationError(f"at epoch {state.epoch}: {exc}") from exc
     text = trace_to_text(state.trace)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    elif args.format == "record-stream":
+    elif format == "record-stream":
         sys.stdout.write(text)
-    _emit(args, [
+    _emit(format, [
         ("repairs", state.repairs),
         ("symbols_transferred", state.symbols_transferred),
         ("decode_checks_passed", sum(("ok", "1") in ev.payload for ev in state.trace)),
@@ -242,15 +249,15 @@ BOUNDS = {
 
 def cmd_bound(args) -> int:
     fn = BOUNDS[args.name]
-    inputs = _bind(args, fn, BOUND_DEFAULTS)
+    inputs = _bind(args.name, fn, args, BOUND_DEFAULTS)
     value, extra = fn(**inputs)
     inputs.pop("case", None)  # reported among the extras
     print(bounds.BoundReport(args.name, inputs, value, extra=extra).to_record())
     return EXIT_OK
 
 
-def cmd_game(args) -> int:
-    horizon = 2 * args.n if args.horizon is None else args.horizon
+def cmd_game(args, horizon) -> int:
+    horizon = 2 * args.n if horizon is None else horizon
     report = flowgame.verify_theorem(
         args.case, args.n, args.r, args.alpha, args.beta, horizon, _cap()
     )
@@ -258,85 +265,71 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
-def _common_options(with_defaults: bool) -> argparse.ArgumentParser:
-    """Options accepted both before and after the subcommand.
-
-    Without defaults (the copy after the subcommand), an option that is
-    not repeated there keeps the value given before the subcommand.
-    """
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--output")
-    common.add_argument("--horizon", type=int)
-    common.add_argument("--rounds", type=int)
-    common.add_argument("--format", choices=["text", "record-stream"])
-    if with_defaults:
-        common.set_defaults(seed=0, output=None, horizon=None, rounds=100, format="text")
-    return common
+def _add_options(parser, options) -> None:
+    """Add the common options named in options to parser."""
+    kinds = {"output": {}, "format": {"choices": ["text", "record-stream"]}}
+    for option in options:
+        parser.add_argument(f"--{option}", **kinds.get(option, {"type": int}))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every option left out stays unset, so that _bind can tell it from a
+    # given one and take its value from COMMON_DEFAULTS, CONSTRUCT_DEFAULTS
+    # or BOUND_DEFAULTS.  Before the subcommand the command is not known
+    # yet, so every common option is parsed there, and main rejects one the
+    # command does not take; after it, a command parses only those it
+    # takes, each overriding the same one given before it.
     parser = argparse.ArgumentParser(
         prog="storagecode",
         description="GF(2) distributed-storage codes: validation, simulation, bounds, games",
-        parents=[_common_options(True)],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    after = [_common_options(False)]
-
-    p = sub.add_parser("validate", help="check a code file and print its profile", parents=after)
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_validate)
-
-    # As with `bound` below, an option left out stays unset and takes its
-    # value from CONSTRUCT_DEFAULTS.
-    p = sub.add_parser(
-        "construct", help="write a named code to a file", parents=after,
         argument_default=argparse.SUPPRESS,
     )
+    _add_options(parser, COMMON_DEFAULTS)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        _add_options(p, _bind(name, fn, argparse.Namespace(), COMMON_DEFAULTS))
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("validate", cmd_validate, "check a code file and print its profile")
+    p.add_argument("path")
+
+    p = command("construct", cmd_construct, "write a named code to a file")
     p.add_argument("name", choices=list(named_codes()))
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--alpha", type=int)
     p.add_argument("--variant", choices=["split", "copy"])
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser(
-        "simulate", help="run seeded failure/repair rounds on a code file", parents=after
-    )
+    p = command("simulate", cmd_simulate, "run seeded failure/repair rounds on a code file")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_simulate)
 
-    # An option left out stays unset, so cmd_bound can tell it from a
-    # given one; its value then comes from BOUND_DEFAULTS.
-    p = sub.add_parser(
-        "bound", help="evaluate a closed-form bound", parents=after,
-        argument_default=argparse.SUPPRESS,
-    )
+    p = command("bound", cmd_bound, "evaluate a closed-form bound")
     p.add_argument("name", choices=list(BOUNDS))
     for option in BOUND_DEFAULTS:
         if option != "case":
             p.add_argument(f"--{option}", type=int)
     p.add_argument("--case", type=_case, choices=THEOREM_CASES)
-    p.set_defaults(fn=cmd_bound)
 
-    p = sub.add_parser("game", help="verify a locality-rate theorem by game search", parents=after)
+    p = command("game", cmd_game, "verify a locality-rate theorem by game search")
     p.add_argument("--case", required=True, type=_case, choices=[*THEOREM_CASES, flowgame.CASE_R2])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
-    p.set_defaults(fn=cmd_game)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command; an error it raises ends as the exit code and
-    one-line message of its first row in FAILURES."""
+    """Run one command on the common options it takes; an error it raises,
+    and a common option given that it does not take, end as the exit code
+    and one-line message of the first matching row in FAILURES."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, **_bind(args.command, args.fn, args, COMMON_DEFAULTS))
     except tuple(cls for cls, _, _ in FAILURES) as exc:
         status, prefix = next((s, p) for cls, s, p in FAILURES if isinstance(exc, cls))
         print(f"{prefix}{exc}", file=sys.stderr)

@@ -110,12 +110,6 @@ class FunctionalSpec:
         ]
         return lambda words: all(test(prefix, words) for test, prefix in checks)
 
-    def admits(self, others: Sequence[Subspace], new: Subspace) -> bool:
-        """Whether others plus new satisfy the spec, given that others do."""
-        if new.ambient_dim != self.ambient_dim or new.dim != self.node_dim:
-            return False
-        return self.admitter(others)(new.basis.words())
-
 
 def _sum_rref(spaces: Sequence[Subspace]) -> List[int]:
     """The RREF basis words of the sum of spaces."""

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -50,6 +51,10 @@ def test_common_options_after_subcommand(tmp_path, capsys):
     before = run(capsys, *flags, "simulate", str(path))
     after = run(capsys, "simulate", str(path), *flags)
     assert before[0] == EXIT_OK and before == after
+    # repeated after the subcommand, an option overrides its value before it
+    rest = flags[2:]
+    assert run(capsys, "--seed", "1", *rest, "simulate", str(path), "--seed", "5") == before
+    assert run(capsys, "--seed", "1", *rest, "simulate", str(path)) != before
 
 
 def test_construct_to_stdout(capsys):
@@ -1050,6 +1055,118 @@ def test_cap_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, command, 
     assert code == EXIT_PARSE
     assert out == ""
     assert err.count("\n") == 1 and "STORAGECODE_CAP must be a positive integer" in err
+
+
+def test_simulate_does_not_read_the_cap(tmp_path, capsys, monkeypatch):
+    # only validate and game read STORAGECODE_CAP; simulate's searched
+    # repairs keep the library's default enumeration cap
+    argv = ["--rounds", "2", "simulate", str(write_code(tmp_path, capsys, "example1"))]
+    plain = run(capsys, *argv)
+    monkeypatch.setenv("STORAGECODE_CAP", "abc")
+    assert run(capsys, *argv) == plain
+    assert plain[0] == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the common options: each command takes only those it uses
+
+COMMON_ARGV = {
+    "validate": ["validate", "e1.json"],
+    "construct": ["construct", "example1"],
+    "simulate": ["simulate", "e1.json"],
+    "game": ["game", "--case", "r2", "--n", "3", "--r", "2", "--alpha", "1", "--beta", "1"],
+    "bound": ["bound", "cutset", "--k", "2", "--r", "2"],
+}
+COMMON_VALUES = {
+    "seed": "3", "output": "out.txt", "horizon": "2", "rounds": "5", "format": "record-stream"
+}
+# (command, option) -> sha256 of stdout and of the --output file (None
+# when none is written), the same before and after the subcommand
+COMMON_TAKEN = {
+    ("validate", "format"): (
+        "f3867967c47b816df5cfd0498ac7b55b10110a0d23f0ad1074fea3e79c7421f3", None
+    ),
+    ("construct", "output"): (
+        "08fab3a1b87e2f78432e9cb7d129360e8664f9e668ee4681fdd24341005380aa",
+        CONSTRUCT_PINS["example1"],
+    ),
+    ("simulate", "seed"): (
+        "0ac7fd73804955d2a423ab5ecaa9c7118d501cb48b9f270cb2b79da60b4555de", None
+    ),
+    ("simulate", "output"): (
+        "0ac7fd73804955d2a423ab5ecaa9c7118d501cb48b9f270cb2b79da60b4555de",
+        "55041b1b7cf3bc58661b3cf04df2b598580605d963b1b93baebc6efa10bab412",
+    ),
+    ("simulate", "rounds"): (
+        "264ce41eb05923aecbae1f0ec4a6fd50ed6ffcca1903728c70a5a9e52f2984ef", None
+    ),
+    ("simulate", "format"): (
+        "dea087bb7a75bd03b57b9a80464220fb0797af6800263b3f4401cb2f5fa96c54", None
+    ),
+    ("game", "horizon"): (
+        "73b4de45be7b8b822a54c7f7c938a843e1e8a44a3b0d2bb42825ef1b13d3601e", None
+    ),
+}
+
+
+@pytest.mark.parametrize("position", ["before", "after"])
+@pytest.mark.parametrize("option", list(COMMON_VALUES))
+@pytest.mark.parametrize("command", list(COMMON_ARGV))
+def test_common_option_matrix(tmp_path, capsys, monkeypatch, command, option, position):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "construct", "example1", "--output", "e1.json")[0] == EXIT_OK
+    given = [f"--{option}", COMMON_VALUES[option]]
+    argv = given + COMMON_ARGV[command] if position == "before" else COMMON_ARGV[command] + given
+    output = tmp_path / "out.txt"
+    if (command, option) in COMMON_TAKEN:
+        code, out, err = run(capsys, *argv)
+        digests = [hashlib.sha256(out.encode()).hexdigest(), None]
+        if output.exists():
+            digests[1] = hashlib.sha256(output.read_bytes()).hexdigest()
+        assert (code, err) == (EXIT_OK, "")
+        assert tuple(digests) == COMMON_TAKEN[command, option]
+    elif position == "before":
+        assert run(capsys, *argv) == (
+            EXIT_PARSE, "", f"bad parameters: {command} does not take --{option}\n"
+        )
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (EXIT_PARSE, "")
+        assert f"unrecognized arguments: {' '.join(given)}" in err
+    assert output.exists() == (option == "output" and (command, option) in COMMON_TAKEN)
+
+
+def test_untaken_common_options_are_named_together_in_option_order(tmp_path, capsys):
+    path = write_code(tmp_path, capsys, "example1")
+    argv = ["--format", "text", "--seed", "1", "--horizon", "2", "validate", str(path)]
+    assert run(capsys, *argv) == (
+        EXIT_PARSE, "", "bad parameters: validate does not take --seed, --horizon\n"
+    )
+
+
+def test_untaken_common_option_is_named_before_the_bound_options(capsys):
+    assert run(capsys, "--seed", "1", "bound", "msr", "--alpha", "3") == (
+        EXIT_PARSE, "", "bad parameters: bound does not take --seed\n"
+    )
+
+
+@pytest.mark.parametrize("command", list(COMMON_ARGV))
+def test_subcommand_help_lists_exactly_its_options(capsys, command):
+    own = {
+        "validate": set(),
+        "construct": {"n", "r", "alpha", "variant"},
+        "simulate": set(),
+        "game": {"case", "n", "r", "alpha", "beta"},
+        "bound": {"k", "r", "n", "m", "d", "alpha", "beta", "case"},
+    }[command]
+    taken = {o for c, o in COMMON_TAKEN if c == command}
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--([a-z]+)", capsys.readouterr().out))
+    assert listed == {"help"} | own | taken
 
 
 # ---------------------------------------------------------------------------

@@ -275,27 +275,6 @@ def reached_survivor_sets(spec, bases, repairs, seed):
     return list(seen)
 
 
-def test_admits_matches_full_spec_check():
-    # admits checks only the subsets that contain the newcomer; the full
-    # check over all four spaces is the oracle
-    spec = example3_spec()
-    candidates = list(enumerate_subspaces(5, 2))
-    assert len(candidates) == 155
-    candidates += [
-        Subspace.spanned_by(5, [BitVector.from_string("10000")]),
-        Subspace.spanned_by(5, [BitVector.from_string(t) for t in ("10000", "01000", "00100")]),
-        Subspace.spanned_by(4, [BitVector.from_string(t) for t in ("1000", "0100")]),
-    ]
-    verdicts = set()
-    for others in reached_survivor_sets(spec, example3_initial_bases(), 200, 7):
-        assert spec.satisfied(list(others))
-        for cand in candidates:
-            verdict = spec.admits(others, cand)
-            assert verdict == spec.satisfied(list(others) + [cand])
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
 def test_functional_spec_flags_wrong_dimension():
     spec = example3_spec()
     spaces = [Subspace.spanned_by(5, b.rows) for b in example3_initial_bases()]
