@@ -10,6 +10,7 @@ the error by its row in FAILURES.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import random
@@ -272,7 +273,21 @@ def _add_options(parser, options) -> None:
         parser.add_argument(f"--{option}", **kinds.get(option, {"type": int}))
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: an argument it does not take is its own usage
+    error, so the usage shown is the command's, not the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: parsing leaves it unchanged."""
     # Every option left out stays unset, so that _bind can tell it from a
     # given one and take its value from COMMON_DEFAULTS, CONSTRUCT_DEFAULTS
     # or BOUND_DEFAULTS.  Before the subcommand the command is not known
@@ -285,12 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     _add_options(parser, COMMON_DEFAULTS)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def command(name, fn, help):
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         _add_options(p, _bind(name, fn, argparse.Namespace(), COMMON_DEFAULTS))
-        p.set_defaults(fn=fn)
         return p
 
     p = command("validate", cmd_validate, "check a code file and print its profile")
@@ -328,8 +342,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     and a common option given that it does not take, end as the exit code
     and one-line message of the first matching row in FAILURES."""
     args = build_parser().parse_args(argv)
+    # By name at each call, not kept in the shared parser, so that a
+    # wrapper installed on a command function sees the call.
+    fn = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args, **_bind(args.command, args.fn, args, COMMON_DEFAULTS))
+        return fn(args, **_bind(args.command, fn, args, COMMON_DEFAULTS))
     except tuple(cls for cls, _, _ in FAILURES) as exc:
         status, prefix = next((s, p) for cls, s, p in FAILURES if isinstance(exc, cls))
         print(f"{prefix}{exc}", file=sys.stderr)

@@ -29,7 +29,12 @@ def _check_word(length: int, word: int) -> None:
 
 
 def _word_text(word: int, length: int) -> str:
-    return "".join("1" if (word >> i) & 1 else "0" for i in range(length))
+    """word's coordinates 0..length-1 as 0/1 text; word < 2**length.
+
+    bin() writes the guard bit at length, then coordinates length-1 down
+    to 0; the slice reverses them and drops the guard and the 0b prefix.
+    """
+    return bin(word | 1 << length)[:2:-1]
 
 
 @dataclass(frozen=True)

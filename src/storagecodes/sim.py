@@ -65,12 +65,16 @@ class ExactRepair:
     """The newcomer stores the failed node's block again, bit for bit.
 
     A repair uses the stored plan for the failed node, else the first
-    plan `find_repair_plan` finds over all live helpers.
+    plan `find_repair_plan` finds over all live helpers.  exact_repair
+    checks a plan's content (failed node, beta, helpers and their repair
+    spaces) before its first use and keeps it in `checked` once it
+    passes; a plan whose content changed is checked again.
     """
 
     code: StorageCode
     plans: Optional[Dict[int, RepairPlan]] = None
     beta: Optional[int] = None
+    checked: Set[tuple] = field(default_factory=set, repr=False)
 
     def __call__(self, state: SystemState, failed: int) -> None:
         plan = self.plans.get(failed) if self.plans else None
@@ -100,7 +104,9 @@ class SystemState:
 
     The counters tally the repairs made, the symbols their helpers sent,
     and the distinct candidates functional repair checked against the
-    spec; they are kept out of the trace.
+    spec; they are kept out of the trace.  symbol_rows keeps each node's
+    reduced symbol rows under the basis and block word they came from
+    (see _symbol_rows).
     """
 
     message_dim: int
@@ -114,6 +120,9 @@ class SystemState:
     repairs: int = 0
     symbols_transferred: int = 0
     spec_checks: int = 0
+    symbol_rows: Dict[int, Tuple[Tuple[BitMatrix, int], List[int]]] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def n(self) -> int:
@@ -173,14 +182,21 @@ def fail(state: SystemState, node: int) -> None:
 
 
 def _symbol_rows(state: SystemState, node: int) -> List[int]:
-    """A node's stored symbols as rows u | s << m, where s = u . x.
+    """A node's stored symbols as rows u | s << m, where s = u . x, in RREF.
 
-    Reducing a vector v of the rows' span by their RREF clears bits
-    0..m-1 and leaves the symbol v . x in bit m.
+    Reducing a vector v of the rows' span by them clears bits 0..m-1 and
+    leaves the symbol v . x in bit m.  The rows are kept under the node's
+    basis and block word and reduced again when either changes, so a
+    block altered outside the simulator is read as it is now stored.
     """
-    m = state.message_dim
-    block = state.stored[node].word
-    return [u | ((block >> i) & 1) << m for i, u in enumerate(state.bases[node].words())]
+    key = (state.bases[node], state.stored[node].word)
+    kept = state.symbol_rows.get(node)
+    if kept is None or kept[0] != key:
+        basis, block = key
+        m = state.message_dim
+        rows = _rref_words(u | ((block >> i) & 1) << m for i, u in enumerate(basis.words()))
+        kept = state.symbol_rows[node] = (key, rows)
+    return kept[1]
 
 
 def _symbol(reduced: Sequence[int], v: int, m: int) -> int:
@@ -230,8 +246,7 @@ def _store_repair(
     """
     m = state.message_dim
     sent = [(h, v) for h, vectors in transfers.items() for v in vectors]
-    held = {h: _rref_words(_symbol_rows(state, h)) for h in transfers}
-    received = _rref_words(v | _symbol(held[h], v, m) << m for h, v in sent)
+    received = _rref_words(v | _symbol(_symbol_rows(state, h), v, m) << m for h, v in sent)
     block = 0
     for i, row in enumerate(basis.words()):
         block |= _symbol(received, row, m) << i
@@ -266,9 +281,12 @@ def exact_repair(state: SystemState, plan: RepairPlan) -> None:
         if h not in state.live:
             raise SimulationError(f"helper {h} is not live")
     code = state.rule.code
-    problems = validate_plan(code, plan)
-    if problems:
-        raise SimulationError("invalid repair plan: " + "; ".join(problems))
+    content = (plan.failed, plan.beta, *((h, plan.repair_spaces[h]) for h in plan.helpers))
+    if content not in state.rule.checked:
+        problems = validate_plan(code, plan)
+        if problems:
+            raise SimulationError("invalid repair plan: " + "; ".join(problems))
+        state.rule.checked.add(content)
 
     # Each helper sends its stored block projected on its repair-space basis.
     transfers = {h: plan.repair_spaces[h].basis.words() for h in plan.helpers}

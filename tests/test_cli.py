@@ -7,6 +7,9 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -1134,7 +1137,8 @@ def test_common_option_matrix(tmp_path, capsys, monkeypatch, command, option, po
             main(argv)
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (EXIT_PARSE, "")
-        assert f"unrecognized arguments: {' '.join(given)}" in err
+        assert err.startswith(f"usage: storagecode {command} ")
+        assert f"storagecode {command}: error: unrecognized arguments: {' '.join(given)}" in err
     assert output.exists() == (option == "output" and (command, option) in COMMON_TAKEN)
 
 
@@ -1167,6 +1171,48 @@ def test_subcommand_help_lists_exactly_its_options(capsys, command):
     assert exc.value.code == 0
     listed = set(re.findall(r"(?<![\w-])--([a-z]+)", capsys.readouterr().out))
     assert listed == {"help"} | own | taken
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_runs_the_command_function_bound_at_the_call(capsys, monkeypatch):
+    # as a tracer's wrapper, installed after the shared parser was built
+    build_parser()
+    monkeypatch.setattr(cli, "cmd_bound", lambda args: print("wrapped") or EXIT_OK)
+    assert run(capsys, "bound", "cutset") == (EXIT_OK, "wrapped\n", "")
+
+
+def _fresh_process(argv, cwd):
+    """main in a new interpreter, whose parser no earlier call has used."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "storagecodes.cli", *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize("rejected", [
+    ["simulate", "CODE", "--horizon", "2"],  # the command's usage error
+    ["--seed", "x", "simulate", "CODE"],  # the root's usage error
+    ["simulate", "--help"],  # exit 0, still through SystemExit
+])
+def test_a_call_after_a_usage_exit_matches_a_fresh_process(tmp_path, capsys, rejected):
+    path = str(write_code(tmp_path, capsys, "example1"))
+    with pytest.raises(SystemExit):
+        main([path if a == "CODE" else a for a in rejected])
+    capsys.readouterr()
+    argv = ["--seed", "3", "--rounds", "5", "--format", "record-stream", "simulate", path]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == _fresh_process(argv, tmp_path)
+    assert code == EXIT_OK and "kind=repair-exact" in out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from storagecodes.gf2 import (
     Subspace,
     _rref_words,
     _solve_words,
+    _word_text,
     enumerate_subspaces,
     gaussian_binomial,
     rank,
@@ -51,6 +52,17 @@ def test_bitvector_string_round_trip():
     assert v.word == 0b1001
     assert v.bit(0) == 1 and v.bit(1) == 0 and v.bit(3) == 1
     assert v.to_string() == "1001"
+
+
+def test_word_text_matches_a_per_bit_join():
+    # the text of every width rows take, at 0, all ones and seeded words
+    rng = random.Random(7)
+    for length in range(1, 131):
+        words = [0, (1 << length) - 1, 1, 1 << (length - 1)]
+        words += [rng.getrandbits(length) for _ in range(8)]
+        for w in words:
+            joined = "".join("1" if (w >> i) & 1 else "0" for i in range(length))
+            assert _word_text(w, length) == joined, (w, length)
 
 
 def test_bitvector_zero_and_range():

@@ -12,7 +12,8 @@ from storagecodes.constructions import (
     example3_spec,
     rbt_mbr,
 )
-from storagecodes.gf2 import BitMatrix, BitVector
+from storagecodes import sim
+from storagecodes.gf2 import BitMatrix, BitVector, Subspace
 from storagecodes.sim import (
     SimulationError,
     StuckError,
@@ -173,6 +174,62 @@ def test_exact_repair_detects_a_corrupted_helper_block(helper, bit):
     state.stored[helper] = BitVector(2, state.stored[helper].word ^ (1 << bit))
     with pytest.raises(SimulationError, match="repair of node 0 did not restore its block"):
         exact_repair(state, named.repair_plans[0])
+
+
+# Faults behind the kept symbol rows and plan verdicts: a node's rows are
+# kept under its basis and block word, and a plan's verdict under its
+# content, so a block or plan changed after use is read as it is now.
+
+
+@pytest.mark.parametrize("helper, bit", [(1, 1), (2, 0)])
+def test_a_block_corrupted_after_its_rows_were_used_is_caught(helper, bit):
+    state, named, x = fresh_exact()
+    assert collect(state, range(4)) == x
+    fail(state, 0)
+    exact_repair(state, named.repair_plans[0])
+    state.stored[helper] = BitVector(2, state.stored[helper].word ^ (1 << bit))
+    with pytest.raises(SimulationError, match="recovery-set decode was inconsistent"):
+        collect(state, range(4))
+    fail(state, 0)
+    with pytest.raises(SimulationError, match="repair of node 0 did not restore its block"):
+        exact_repair(state, named.repair_plans[0])
+
+
+def test_a_functional_block_corrupted_after_its_rows_were_used_is_caught():
+    # survivor 0 sends its row 0 (e0) for node 2 again: the survivors' spaces
+    # are unchanged, so the search picks the same vectors
+    state, spec, x = fresh_functional()
+    fail(state, 2)
+    functional_repair(state, 2)
+    assert collect(state, range(4)) == x
+    state.stored[0] = BitVector(2, state.stored[0].word ^ 1)
+    with pytest.raises(SimulationError, match="recovery-set decode was inconsistent"):
+        collect(state, range(4))
+    fail(state, 2)
+    with pytest.raises(SimulationError, match="repair of node 2 did not restore its block"):
+        functional_repair(state, 2)
+
+
+def test_a_plan_changed_after_a_repair_is_checked_again():
+    state, named, x = fresh_exact()
+    plan = named.repair_plans[0]
+    fail(state, 0)
+    exact_repair(state, plan)
+    outside = next(w for w in range(1, 16) if not named.code.subspaces[1].contains(BitVector(4, w)))
+    plan.repair_spaces[1] = Subspace.spanned_by(4, [BitVector(4, outside)])
+    fail(state, 0)
+    with pytest.raises(SimulationError, match="invalid repair plan: repair space of helper 1"):
+        exact_repair(state, plan)
+
+
+def test_a_plan_is_checked_once_per_content(monkeypatch):
+    checked = []
+    monkeypatch.setattr(sim, "validate_plan", lambda code, plan: checked.append(plan) or [])
+    named = example1()
+    state = encode(named.code, BitVector(4, 0b0110), plans=None, beta=1)
+    # the stored-plan-less rule searches a new plan object at each repair
+    run_scenario(state, [("fail", 0), ("repair",)] * 3 + [("fail", 1), ("repair",)])
+    assert [p.failed for p in checked] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
