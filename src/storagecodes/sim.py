@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .codes import (
     CodeError,
@@ -65,27 +65,70 @@ class ExactRepair:
     """The newcomer stores the failed node's block again, bit for bit.
 
     A repair uses the stored plan for the failed node, else the first
-    plan `find_repair_plan` finds over all live helpers.  exact_repair
-    checks a plan's content (failed node, beta, helpers and their repair
-    spaces) before its first use and keeps it in `checked` once it
-    passes; a plan whose content changed is checked again.
+    plan `find_repair_plan` finds over all live helpers.  That search
+    depends only on the code, the failed node, the live helpers and
+    beta, so `searched` keeps each plan found under (failed node, sorted
+    live helpers) and a node that fails again with the same live set
+    reuses it.  prepare checks a plan's content (failed node, beta,
+    helpers and their repair spaces) before its first use; `checked`
+    maps each content that passed to its prepared repair (see
+    _PreparedRepair), and a plan whose content changed is checked and
+    prepared again.
     """
 
     code: StorageCode
     plans: Optional[Dict[int, RepairPlan]] = None
     beta: Optional[int] = None
-    checked: Set[tuple] = field(default_factory=set, repr=False)
+    checked: Dict[tuple, _PreparedRepair] = field(default_factory=dict, repr=False)
+    searched: Dict[Tuple[int, Tuple[int, ...]], RepairPlan] = field(
+        default_factory=dict, repr=False
+    )
 
     def __call__(self, state: SystemState, failed: int) -> None:
         plan = self.plans.get(failed) if self.plans else None
         if plan is None:
             if self.beta is None:
                 raise SimulationError("exact repair needs stored plans or beta")
-            plan = find_repair_plan(self.code, failed, sorted(state.live), self.beta)
+            key = (failed, tuple(sorted(state.live)))
+            plan = self.searched.get(key)
             if plan is None:
-                raise SimulationError(f"node {failed} is not repairable")
+                state.plan_searches += 1
+                plan = find_repair_plan(self.code, failed, key[1], self.beta)
+                if plan is None:
+                    raise SimulationError(f"node {failed} is not repairable")
+                self.searched[key] = plan
         # Through the module global, so a wrapper installed on it sees the call.
         exact_repair(state, plan)
+
+    def prepare(self, plan: RepairPlan) -> _PreparedRepair:
+        """The plan's prepared repair, checked and prepared on first use."""
+        # A space enters the key as its width and RREF words, which is what
+        # Subspace equality compares: hashing the Subspace itself runs two
+        # generated __hash__ methods per helper at every repair.
+        spaces = plan.repair_spaces
+        content = (
+            plan.failed,
+            plan.beta,
+            *((h, spaces[h].ambient_dim, spaces[h].basis._words) for h in plan.helpers),
+        )
+        prepared = self.checked.get(content)
+        if prepared is None:
+            problems = validate_plan(self.code, plan)
+            if problems:
+                raise SimulationError("invalid repair plan: " + "; ".join(problems))
+            # Each helper sends its stored block projected on its repair-space basis.
+            sent = [(h, v) for h in plan.helpers for v in spaces[h].basis.words()]
+            text = ";".join(f"{h}:{_space_text(spaces[h])}" for h in plan.helpers)
+            prepared = self.checked[content] = _PreparedRepair(
+                sent,
+                _decoder(
+                    [v for _, v in sent],
+                    self.code.node_bases[plan.failed].words(),
+                    self.code.message_dim,
+                ),
+                _repair_fields(sent, ("spaces", text)),
+            )
+        return prepared
 
 
 @dataclass
@@ -103,10 +146,10 @@ class SystemState:
     """Per-node stored blocks plus the rule that repairs them.
 
     The counters tally the repairs made, the symbols their helpers sent,
-    and the distinct candidates functional repair checked against the
-    spec; they are kept out of the trace.  symbol_rows keeps each node's
-    reduced symbol rows under the basis and block word they came from
-    (see _symbol_rows).
+    the plans exact repair searched for, and the distinct candidates
+    functional repair checked against the spec; they are kept out of
+    the trace.  symbol_rows keeps each node's reduced symbol rows under
+    the basis and block word they came from (see _symbol_rows).
     """
 
     message_dim: int
@@ -119,6 +162,7 @@ class SystemState:
     message: Optional[BitVector] = None  # verification only, not protocol data
     repairs: int = 0
     symbols_transferred: int = 0
+    plan_searches: int = 0
     spec_checks: int = 0
     symbol_rows: Dict[int, Tuple[Tuple[BitMatrix, int], List[int]]] = field(
         default_factory=dict, repr=False
@@ -229,27 +273,69 @@ def collect(state: SystemState, indices: Sequence[int]) -> Optional[BitVector]:
     return result
 
 
+def _decoder(vectors: Sequence[int], rows: Sequence[int], m: int) -> List[int]:
+    """For each row, the mask of the vectors (by index) whose sum it is.
+
+    One elimination over the rows v_j | 1 << (m + j) keeps, in the bits
+    above m, which vectors each reduced row sums; reducing a row by them
+    clears its bits below m and leaves its mask above.
+    """
+    tagged = _rref_words(v | 1 << (m + j) for j, v in enumerate(vectors))
+    masks = []
+    for row in rows:
+        w = _reduce(tagged, row)
+        if w & ((1 << m) - 1):
+            raise SimulationError("vector is not in the expected row span")
+        masks.append(w >> m)
+    return masks
+
+
+Fields = Tuple[Tuple[str, str], ...]
+
+
+class _PreparedRepair(NamedTuple):
+    """What an exact repair plan fixes: the (helper, vector) pairs sent,
+    the decoding mask of each row of the newcomer's basis, and the
+    repair record's fields (see _repair_fields)."""
+
+    sent: List[Tuple[int, int]]
+    masks: List[int]
+    fields: Fields
+
+
+def _repair_fields(sent: Sequence[Tuple[int, int]], *extra: Tuple[str, str]) -> Fields:
+    """A repair record's fields after the node: helpers, symbol count, extra."""
+    return (
+        ("helpers", ",".join(map(str, dict.fromkeys(h for h, _ in sent)))),
+        ("symbols_transferred", str(len(sent))),
+        *extra,
+    )
+
+
 def _store_repair(
     state: SystemState,
     kind: str,
     failed: int,
-    transfers: Dict[int, Sequence[int]],
+    sent: Sequence[Tuple[int, int]],
+    masks: Sequence[int],
     basis: BitMatrix,
-    *fields: Tuple[str, str],
+    fields: Fields,
 ) -> None:
     """Rebuild, check, store and record the newcomer's block for basis.
 
-    transfers maps each helper to the vectors v (as words) it sends the
-    symbol v . x of; both the helper's symbols and the newcomer's block
-    come from reducing by symbol rows (see _symbol_rows).  The newcomer
-    checks its block against the out-of-band message.
+    sent lists, helper by helper, each (helper, v) whose symbol v . x the
+    helper sends, read off its symbol rows (see _symbol_rows); bit i of
+    the block is the sum of the symbols that masks[i] selects (see
+    _decoder).  The newcomer checks its block against the out-of-band
+    message.
     """
     m = state.message_dim
-    sent = [(h, v) for h, vectors in transfers.items() for v in vectors]
-    received = _rref_words(v | _symbol(_symbol_rows(state, h), v, m) << m for h, v in sent)
+    symbols = 0
+    for j, (h, v) in enumerate(sent):
+        symbols |= _symbol(_symbol_rows(state, h), v, m) << j
     block = 0
-    for i, row in enumerate(basis.words()):
-        block |= _symbol(received, row, m) << i
+    for i, mask in enumerate(masks):
+        block |= ((mask & symbols).bit_count() & 1) << i
     restored = BitVector(basis.row_count, block)
 
     assert state.message is not None
@@ -262,13 +348,7 @@ def _store_repair(
     state.epoch += 1
     state.repairs += 1
     state.symbols_transferred += len(sent)
-    state.record(
-        kind,
-        ("node", str(failed)),
-        ("helpers", ",".join(map(str, transfers))),
-        ("symbols_transferred", str(len(sent))),
-        *fields,
-    )
+    state.record(kind, ("node", str(failed)), *fields)
 
 
 def exact_repair(state: SystemState, plan: RepairPlan) -> None:
@@ -280,20 +360,10 @@ def exact_repair(state: SystemState, plan: RepairPlan) -> None:
     for h in plan.helpers:
         if h not in state.live:
             raise SimulationError(f"helper {h} is not live")
-    code = state.rule.code
-    content = (plan.failed, plan.beta, *((h, plan.repair_spaces[h]) for h in plan.helpers))
-    if content not in state.rule.checked:
-        problems = validate_plan(code, plan)
-        if problems:
-            raise SimulationError("invalid repair plan: " + "; ".join(problems))
-        state.rule.checked.add(content)
-
-    # Each helper sends its stored block projected on its repair-space basis.
-    transfers = {h: plan.repair_spaces[h].basis.words() for h in plan.helpers}
-    spaces = ";".join(f"{h}:{_space_text(plan.repair_spaces[h])}" for h in plan.helpers)
+    prepared = state.rule.prepare(plan)
     _store_repair(
-        state, "repair-exact", plan.failed, transfers, code.node_bases[plan.failed],
-        ("spaces", spaces),
+        state, "repair-exact", plan.failed, prepared.sent, prepared.masks,
+        state.rule.code.node_bases[plan.failed], prepared.fields,
     )
 
 
@@ -356,11 +426,15 @@ def functional_repair(state: SystemState, failed: int) -> None:
     new_space = Subspace._canonical(m, new_words)
 
     # Downloads: one symbol a_i . x per survivor.
+    sent = list(zip(survivors, picked))
     _store_repair(
-        state, "repair-functional", failed,
-        {i: [v] for i, v in zip(survivors, picked)}, new_space.basis,
-        ("vectors", ";".join(f"{i}:{_word_text(v, m)}" for i, v in zip(survivors, picked))),
-        ("new_basis", _space_text(new_space)),
+        state, "repair-functional", failed, sent, _decoder(picked, new_words, m),
+        new_space.basis,
+        _repair_fields(
+            sent,
+            ("vectors", ";".join(f"{i}:{_word_text(v, m)}" for i, v in sent)),
+            ("new_basis", _space_text(new_space)),
+        ),
     )
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from storagecodes.codes import CodeError
+from storagecodes.codes import CodeError, validate_plan
 from storagecodes.constructions import (
     FunctionalSpec,
     example1,
@@ -176,9 +176,9 @@ def test_exact_repair_detects_a_corrupted_helper_block(helper, bit):
         exact_repair(state, named.repair_plans[0])
 
 
-# Faults behind the kept symbol rows and plan verdicts: a node's rows are
-# kept under its basis and block word, and a plan's verdict under its
-# content, so a block or plan changed after use is read as it is now.
+# Faults behind the kept symbol rows and prepared plans: a node's rows are
+# kept under its basis and block word, and a plan's prepared repair under
+# its content, so a block or plan changed after use is read as it is now.
 
 
 @pytest.mark.parametrize("helper, bit", [(1, 1), (2, 0)])
@@ -230,6 +230,45 @@ def test_a_plan_is_checked_once_per_content(monkeypatch):
     # the stored-plan-less rule searches a new plan object at each repair
     run_scenario(state, [("fail", 0), ("repair",)] * 3 + [("fail", 1), ("repair",)])
     assert [p.failed for p in checked] == [0, 1]
+
+
+def test_a_changed_plan_is_prepared_again(monkeypatch):
+    # node 0's plan with every repair space swapped for another valid one
+    checked = []
+
+    def recorded(code, plan):
+        checked.append(plan)
+        return validate_plan(code, plan)
+
+    monkeypatch.setattr(sim, "validate_plan", recorded)
+    state, named, x = fresh_exact()
+    plan = named.repair_plans[0]
+    fail(state, 0)
+    exact_repair(state, plan)
+    assert dict(state.trace[-1].payload)["spaces"] == "1:1001;2:0010;3:0001"
+    for h, text in ((1, "0100"), (2, "1100"), (3, "0111")):
+        plan.repair_spaces[h] = Subspace.spanned_by(4, [BitVector.from_string(text)])
+    fail(state, 0)
+    exact_repair(state, plan)
+    assert len(checked) == 2
+    assert dict(state.trace[-1].payload)["spaces"] == "1:0100;2:1100;3:0111"
+    assert state.stored[0] == named.code.node_bases[0].mat_vec(x)
+
+
+def test_a_node_failing_again_with_the_same_live_set_is_searched_once():
+    named = rbt_mbr(6)
+    x = BitVector(15, 0b101100111000101)
+    script = [item for _ in range(3) for node in range(6) for item in (("fail", node), ("repair",))]
+    state = encode(named.code, x, beta=1)
+    run_scenario(state, script)
+    assert (state.repairs, state.plan_searches) == (18, 6)
+    # a fresh rule before every repair searches every time
+    fresh = encode(named.code, x, beta=1)
+    for i in range(0, len(script), 2):
+        fresh.rule = sim.ExactRepair(named.code, beta=1)
+        run_scenario(fresh, script[i:i + 2])
+    assert (fresh.repairs, fresh.plan_searches) == (18, 18)
+    assert trace_to_text(state.trace) == trace_to_text(fresh.trace)
 
 
 # ---------------------------------------------------------------------------

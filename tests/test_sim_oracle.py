@@ -1,22 +1,29 @@
-"""Slow oracle for functional repair: its docstring taken literally.
+"""Slow oracles for the repair paths.
 
+Functional repair is checked against its docstring taken literally.
 The reference tries the survivors' nonzero vectors, each survivor's
 sorted by text, in `itertools.product` order; takes the candidates of
 each span from the public `subspaces_of` on Subspace objects; and checks
 the whole assignment with `spec.satisfied`.  It keeps no memo and no
 int words, so it shares none of the fast path's shortcuts.
+
+Exact repair's prepared decoding masks are checked against a plain
+elimination of the received rows (see the section at the end).
 """
 
 import random
 from itertools import combinations, product
 
 import pytest
+from test_codes import REGISTRY_CODES
 from test_constructions import reached_survivor_sets
 
+from storagecodes.codes import find_repair_plan
 from storagecodes.constructions import (
     FunctionalSpec,
     _spans,
     _trivial_meet,
+    example3,
     example3_initial_bases,
     example3_spec,
 )
@@ -29,7 +36,15 @@ from storagecodes.gf2 import (
     subspace_sum,
     subspaces_of,
 )
-from storagecodes.sim import StuckError, encode_functional, fail, functional_repair
+from storagecodes.sim import (
+    SimulationError,
+    StuckError,
+    encode,
+    encode_functional,
+    exact_repair,
+    fail,
+    functional_repair,
+)
 
 
 def reference_repair(state, failed):
@@ -198,3 +213,110 @@ def test_admitter_matches_full_spec_check(spec, bases, count):
             assert verdict == spec.satisfied(list(others) + [cand])
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Exact repair's decoding masks against the received-rows reconstruction.
+# The oracle rebuilds the newcomer's block the way the simulator did before
+# it prepared masks: eliminate the received rows v | (v . x) << m and reduce
+# each basis row by them.  Which stored bits a helper's symbols read comes
+# from a brute-force expansion of each sent vector in the helper's rows.
+
+EXACT_REGISTRY_CODES = [build for build in REGISTRY_CODES if build is not example3]
+
+
+def _parity(word):
+    return bin(word).count("1") & 1
+
+
+def _received_rows_block(sent, symbols, basis_rows, m):
+    pivots = {}  # pivot bit -> row; every pivot is clear in every other row
+    for (_, v), s in zip(sent, symbols):
+        w = v | s << m
+        for p, row in pivots.items():
+            if w >> p & 1:
+                w ^= row
+        if w:
+            p = (w & -w).bit_length() - 1
+            for q in pivots:
+                if pivots[q] >> p & 1:
+                    pivots[q] ^= w
+            pivots[p] = w
+    block = 0
+    for i, b in enumerate(basis_rows):
+        for p, row in pivots.items():
+            if b >> p & 1:
+                b ^= row
+        assert b & ((1 << m) - 1) == 0, "basis row outside the received span"
+        block |= (b >> m) << i
+    return block
+
+
+def _expansion(rows, v):
+    """The mask of rows whose sum is v, by trying every subset."""
+    for mask in range(1 << len(rows)):
+        total = 0
+        for t, row in enumerate(rows):
+            if mask >> t & 1:
+                total ^= row
+        if total == v:
+            return mask
+    raise AssertionError("sent vector outside the helper's rows")
+
+
+def _check_prepared_plan(code, plan, rng):
+    m = code.message_dim
+    basis_rows = code.node_bases[plan.failed].words()
+    state = encode(code, BitVector(m, rng.randrange(1 << m)), {plan.failed: plan})
+    fail(state, plan.failed)
+    exact_repair(state, plan)
+    prepared = state.rule.prepare(plan)
+    assert prepared.sent == [
+        (h, v) for h in plan.helpers for v in plan.repair_spaces[h].basis.words()
+    ]
+    for _ in range(8):
+        x = rng.randrange(1 << m)
+        symbols = [_parity(v & x) for _, v in prepared.sent]
+        word = sum(s << j for j, s in enumerate(symbols))
+        from_masks = sum(_parity(mask & word) << i for i, mask in enumerate(prepared.masks))
+        assert from_masks == _received_rows_block(prepared.sent, symbols, basis_rows, m)
+        assert from_masks == sum(_parity(b & x) << i for i, b in enumerate(basis_rows))
+
+    # Flipping stored bit t of helper h flips the symbols of the sent
+    # vectors whose expansion uses h's row t; the block changes iff a
+    # mask reads an odd number of them.
+    reads = 0
+    for h in plan.helpers:
+        rows = code.node_bases[h].words()
+        for t in range(len(rows)):
+            flipped = sum(
+                (h == g and _expansion(rows, v) >> t & 1) << j
+                for j, (g, v) in enumerate(prepared.sent)
+            )
+            read = any(_parity(mask & flipped) for mask in prepared.masks)
+            x = BitVector(m, rng.randrange(1 << m))
+            state = encode(code, x, {plan.failed: plan})
+            fail(state, plan.failed)
+            state.stored[h] = BitVector(len(rows), state.stored[h].word ^ 1 << t)
+            if read:
+                reads += 1
+                with pytest.raises(SimulationError, match="did not restore its block"):
+                    exact_repair(state, plan)
+            else:
+                exact_repair(state, plan)
+                assert state.stored[plan.failed] == code.node_bases[plan.failed].mat_vec(x)
+    assert reads > 0
+
+
+@pytest.mark.parametrize("build", EXACT_REGISTRY_CODES)
+def test_exact_repair_masks_match_received_rows_reconstruction(build):
+    named = build()
+    assert named.spec is None
+    code, beta = named.code, named.declared.beta
+    rng = random.Random(code.n * 1000 + code.message_dim)
+    plans = list(named.repair_plans.values())
+    for failed in range(code.n):
+        helpers = [i for i in range(code.n) if i != failed]
+        plans.append(find_repair_plan(code, failed, helpers, beta))
+    for plan in plans:
+        _check_prepared_plan(code, plan, rng)
