@@ -15,7 +15,7 @@ import inspect
 import os
 import random
 import sys
-from typing import List, Optional
+from typing import List, Literal, Optional, get_args, get_origin
 
 from . import bounds, codefile, flowgame
 from .codes import (
@@ -87,13 +87,15 @@ def _bind(name, fn, args, defaults) -> dict:
     and name, the command, family or bound that fn runs.
 
     The options are parsed with argparse.SUPPRESS, so a left-out option
-    is absent from args and takes its value from defaults.
+    is absent from args: it takes fn's own default where fn has one,
+    and otherwise its value in defaults.
     """
     params = inspect.signature(fn).parameters
     unused = [f"--{p}" for p in defaults if p not in params and hasattr(args, p)]
     if unused:
         raise ValueError(f"{name} does not take {', '.join(unused)}")
-    return {p: getattr(args, p, defaults[p]) for p in params if p in defaults}
+    own = {p: param.default for p, param in params.items() if param.default is not param.empty}
+    return {p: getattr(args, p, own.get(p, defaults[p])) for p in params if p in defaults}
 
 
 # The common options, with the value each takes when it is not given.  A
@@ -146,18 +148,25 @@ def cmd_validate(args, format) -> int:
     return EXIT_OK
 
 
-# The options of `construct`, with the value each takes when it is not given.
-CONSTRUCT_DEFAULTS = {"n": 4, "r": 3, "alpha": None, "variant": "split"}
+def _construct_options() -> dict:
+    """The options of `construct`: every registry family's parameters, in
+    registry order, each named once with the first family's parameter."""
+    options = {}
+    for build in named_codes().values():
+        for p, param in inspect.signature(build, eval_str=True).parameters.items():
+            options.setdefault(p, param)
+    return options
 
 
 def cmd_construct(args, output) -> int:
     """Build a registry code and write its code file.
 
-    Each constructor's parameters (n, r, alpha, variant) are taken from
-    the options of the same name.
+    The family's constructor takes its parameters from the options of
+    the same name, and a left-out one keeps its default.
     """
     build = named_codes()[args.name]
-    cf = codefile.from_named_code(build(**_bind(args.name, build, args, CONSTRUCT_DEFAULTS)))
+    options = dict.fromkeys(_construct_options())
+    cf = codefile.from_named_code(build(**_bind(args.name, build, args, options)))
     text = codefile.dumps(cf)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -266,6 +275,14 @@ def cmd_game(args, horizon) -> int:
     return EXIT_OK
 
 
+def _argument(param) -> dict:
+    """add_argument's keywords for a constructor parameter: a Literal one
+    takes one of its values, and any other an integer."""
+    if get_origin(param.annotation) is Literal:
+        return {"choices": get_args(param.annotation)}
+    return {"type": int}
+
+
 def _add_options(parser, options) -> None:
     """Add the common options named in options to parser."""
     kinds = {"output": {}, "format": {"choices": ["text", "record-stream"]}}
@@ -289,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one in the process: parsing leaves it unchanged."""
     # Every option left out stays unset, so that _bind can tell it from a
-    # given one and take its value from COMMON_DEFAULTS, CONSTRUCT_DEFAULTS
-    # or BOUND_DEFAULTS.  Before the subcommand the command is not known
-    # yet, so every common option is parsed there, and main rejects one the
-    # command does not take; after it, a command parses only those it
-    # takes, each overriding the same one given before it.
+    # given one and take its value from COMMON_DEFAULTS, from BOUND_DEFAULTS
+    # or from the signature of the construct family given.  Before the
+    # subcommand the command is not known yet, so every common option is
+    # parsed there, and main rejects one the command does not take; after
+    # it, a command parses only those it takes, each overriding the same
+    # one given before it.  construct parses every registry family's
+    # parameters, and a family takes only its own.
     parser = argparse.ArgumentParser(
         prog="storagecode",
         description="GF(2) distributed-storage codes: validation, simulation, bounds, games",
@@ -312,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("construct", cmd_construct, "write a named code to a file")
     p.add_argument("name", choices=list(named_codes()))
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--variant", choices=["split", "copy"])
+    for option, param in _construct_options().items():
+        p.add_argument(f"--{option}", **_argument(param))
 
     p = command("simulate", cmd_simulate, "run seeded failure/repair rounds on a code file")
     p.add_argument("path")

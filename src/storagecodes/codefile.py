@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .codes import CodeError, CodeParams, RepairPlan, StorageCode, validate
-from .constructions import FunctionalSpec, NamedCode, named_codes
+from .constructions import FunctionalSpec, NamedCode, functional_specs
 from .gf2 import BitMatrix, Subspace
 
 FORMAT_VERSION = 1
@@ -86,14 +86,10 @@ def from_named_code(named: NamedCode) -> CodeFile:
 
 def _functional_spec(name: object) -> FunctionalSpec:
     """The spec of the registry's functional code called name."""
-    build = named_codes().get(name) if isinstance(name, str) else None
-    try:
-        spec = build().spec if build else None
-    except TypeError:  # an exact family that needs parameters
-        spec = None
-    if spec is None:
+    build = functional_specs().get(name) if isinstance(name, str) else None
+    if build is None:
         raise CodeFileError(f"unknown functional specification {name!r}")
-    return spec
+    return build()
 
 
 def _int(value: object, field: str) -> int:

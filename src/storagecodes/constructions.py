@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
 from .codes import (
     CodeError,
@@ -205,7 +205,7 @@ def pair_coordinates(n: int) -> List[Tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def rbt_mbr(n: int) -> NamedCode:
+def rbt_mbr(n: int = 4) -> NamedCode:
     """Rate-1/2 repair-by-transfer MBR code on C(n,2) pair coordinates.
 
     Node v stores the symbols x_{v,j} for j != v; a failed node gets
@@ -223,7 +223,7 @@ def rbt_mbr(n: int) -> NamedCode:
     return _exact(f"rbt-mbr-n{n}", len(index), nodes, plans, k=n - 1, r=n - 1, beta=1)
 
 
-def single_parity(r: int) -> NamedCode:
+def single_parity(r: int = 3) -> NamedCode:
     """The binary [r+1, r] single-parity code: alpha = beta = 1.
 
     Nodes 0..r-1 store one message symbol each; the last node stores the
@@ -237,7 +237,9 @@ def single_parity(r: int) -> NamedCode:
     return _exact(f"parity-r{r}", r, nodes, plans, k=r, r=r, beta=1)
 
 
-def repetition_code(n: int, r: int, alpha: Optional[int] = None, variant: str = "split") -> NamedCode:
+def repetition_code(
+    n: int = 4, r: int = 3, alpha: Optional[int] = None, variant: Literal["split", "copy"] = "split"
+) -> NamedCode:
     """Repetition code: n/(r+1) groups of r+1 identical nodes.
 
     Two repair variants exist.  "split" (requires r | alpha) downloads
@@ -340,7 +342,12 @@ def example3() -> NamedCode:
 
 
 def named_codes() -> Dict[str, Callable[..., NamedCode]]:
-    """Constructor registry used by the CLI and by code-file loading."""
+    """Constructor registry used by the CLI and by code-file loading.
+
+    Each constructor's parameters, with their defaults, are the options
+    that `storagecode construct` takes for its family, and their values
+    when left out; functional_specs() names the functional families.
+    """
     return {
         "example1": example1,
         "rbt-mbr": rbt_mbr,
@@ -348,3 +355,9 @@ def named_codes() -> Dict[str, Callable[..., NamedCode]]:
         "parity": single_parity,
         "example3": example3,
     }
+
+
+def functional_specs() -> Dict[str, Callable[[], FunctionalSpec]]:
+    """The registry's functional families, each with its spec's builder;
+    every other family is exact.  Reading it builds no code."""
+    return {"example3": example3_spec}

@@ -3,6 +3,7 @@
 import argparse
 import errno
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -24,7 +25,7 @@ from storagecodes.cli import (
     build_parser,
     main,
 )
-from storagecodes.constructions import named_codes
+from storagecodes.constructions import named_codes, single_parity
 
 
 def run(capsys, *argv):
@@ -74,9 +75,13 @@ def test_construct_functional(capsys):
     assert doc["mode"] == "functional" and doc["spec"] == "example3"
 
 
-def test_construct_choices_follow_the_registry():
+def _construct_parser():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    name = next(a for a in sub.choices["construct"]._actions if a.dest == "name")
+    return sub.choices["construct"]
+
+
+def test_construct_choices_follow_the_registry():
+    name = next(a for a in _construct_parser()._actions if a.dest == "name")
     assert list(name.choices) == list(named_codes())
 
 
@@ -217,6 +222,46 @@ def test_construct_given_defaults_match_left_out_ones(capsys, name):
     given = [arg for o in taken for arg in (f"--{o}", defaults[o])]
     assert bare[0] == EXIT_OK
     assert run(capsys, "construct", name, *given) == bare
+
+
+def test_construct_options_are_the_registrys_parameters():
+    parsed = {a.dest for a in _construct_parser()._actions if a.option_strings}
+    params = {p for build in named_codes().values() for p in inspect.signature(build).parameters}
+    assert parsed - {"help", "output"} == params
+
+
+@pytest.fixture
+def wide_registry(monkeypatch):
+    """The registry plus a last family whose n defaults to 5, where
+    rbt-mbr's defaults to 4; the parser is rebuilt around it."""
+
+    def wide_parity(n: int = 5):
+        return single_parity(n - 1)
+
+    monkeypatch.setattr(cli, "named_codes", lambda: {**named_codes(), "wide-parity": wide_parity})
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name, pin", [("rbt-mbr", "rbt-mbr --n 4"), ("wide-parity", "parity --r 4")]
+)
+def test_bare_construct_takes_its_own_familys_default(capsys, wide_registry, name, pin):
+    code, out, err = run(capsys, "construct", name)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_PINS[pin]
+
+
+def test_construct_unknown_variant_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "repetition", "--variant", "bogus"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_PARSE, "")
+    assert err.startswith("usage: storagecode construct ") and "[--variant {split,copy}]" in err
+    assert err.endswith(
+        "error: argument --variant: invalid choice: 'bogus' (choose from 'split', 'copy')\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +425,7 @@ def test_non_string_functional_spec_is_parse_error(tmp_path, capsys, command, sp
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
-@pytest.mark.parametrize("spec", ["example1", "rbt-mbr"])
+@pytest.mark.parametrize("spec", ["example1", "rbt-mbr", "repetition", "parity"])
 def test_exact_registry_entry_as_functional_spec_is_parse_error(tmp_path, capsys, command, spec):
     path = write_code(tmp_path, capsys, "example3")
     doc = json.loads(path.read_text())

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from storagecodes import codefile
+from storagecodes import codefile, constructions
 from storagecodes.constructions import example1, example3, rbt_mbr
 
 
@@ -55,6 +55,31 @@ def test_unknown_functional_spec():
     with pytest.raises(codefile.CodeFileError) as err:
         codefile.loads(json.dumps(doc))
     assert "unknown functional specification" in str(err.value)
+
+
+# the registry's exact families, each named as a functional spec
+EXACT_FAMILIES = ["example1", "rbt-mbr", "repetition", "parity"]
+
+
+def test_exact_families_are_the_rest_of_the_registry():
+    registry = constructions.named_codes()
+    assert EXACT_FAMILIES == [n for n in registry if n not in constructions.functional_specs()]
+
+
+@pytest.mark.parametrize("spec", [*EXACT_FAMILIES, "example3"])
+def test_loads_builds_no_registry_code(monkeypatch, spec):
+    # the kind is read from the registry, not probed by building a code
+    doc = json.loads(codefile.dumps(codefile.from_named_code(example3())))
+    doc["spec"] = spec
+    built = []
+    monkeypatch.setattr(constructions, "_verify", lambda named: built.append(named.name) or named)
+    if spec == "example3":
+        assert codefile.loads(json.dumps(doc)).spec.name == "example3"
+    else:
+        with pytest.raises(codefile.CodeFileError) as err:
+            codefile.loads(json.dumps(doc))
+        assert str(err.value) == f"unknown functional specification {spec!r}"
+    assert built == []
 
 
 def test_loads_reports_json_error_line():

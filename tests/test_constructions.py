@@ -1,6 +1,7 @@
 """Tests for the named code families and the functional specification."""
 
 import dataclasses
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +24,7 @@ from storagecodes.constructions import (
     example1,
     example3_initial_bases,
     example3_spec,
+    functional_specs,
     named_codes,
     pair_coordinates,
     rbt_mbr,
@@ -345,3 +347,18 @@ def test_named_codes_registry():
     functional = registry["example3"]()
     assert functional.spec.name == "example3"
     assert functional.spec.satisfied(functional.code.subspaces)
+
+
+def test_registry_states_each_familys_kind():
+    # every family builds from its defaults; a functional one carries the
+    # spec that functional_specs() builds for its name, an exact one none
+    specs = functional_specs()
+    assert set(specs) <= set(named_codes())
+    for name, build in named_codes().items():
+        params = inspect.signature(build).parameters.values()
+        assert all(p.default is not p.empty for p in params), name
+        spec = build().spec
+        if name in specs:
+            assert spec.name == specs[name]().name == name
+        else:
+            assert spec is None, name
