@@ -5,14 +5,11 @@ from .gf2 import (
     BitVector,
     EnumerationCapError,
     Subspace,
-    enumerate_subspaces,
     gaussian_binomial,
-    rref,
     solve,
     span_contains,
     subspace_intersect,
     subspace_sum,
-    subspaces_of,
 )
 from .codes import (
     CodeError,

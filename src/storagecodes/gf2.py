@@ -163,16 +163,6 @@ def _rref_words(words: Iterable[int], start: Sequence[int] = ()) -> List[int]:
     return rows
 
 
-def rref(mat: BitMatrix) -> Tuple[BitMatrix, int]:
-    """Reduced row-echelon form with zero rows removed, plus the rank."""
-    reduced = _rref_words(mat._words)
-    return BitMatrix(tuple(reduced), mat.col_count), len(reduced)
-
-
-def rank(mat: BitMatrix) -> int:
-    return len(_rref_words(mat._words))
-
-
 def solve(mat: BitMatrix, rhs: BitVector) -> Optional[BitVector]:
     """Find any x with mat @ x = rhs over GF(2), or None if inconsistent.
 
@@ -331,10 +321,13 @@ def _subspace_words(basis: Sequence[int], dim: int) -> Iterator[Tuple[int, ...]]
 
     basis must be in RREF.  Each subspace is enumerated by its RREF
     coefficient basis over the rows of basis: pivot-column combinations
-    in lexicographic order, then the free entries in ascending binary
-    order.  The image of an RREF coefficient basis is again in RREF: row
-    j keeps the pivot of basis row q_j, and its bit at every other pivot
-    is a coefficient that RREF makes zero.
+    in lexicographic order, then the free entries (row by row, column by
+    column, the first one the lowest bit) in ascending binary order.
+    Plan search and functional repair take the first subspace they
+    admit, so this order is in every trace.  The image of an RREF
+    coefficient basis is again in RREF: row j keeps the pivot of basis
+    row q_j, and its bit at every other pivot is a coefficient that RREF
+    makes zero.
     """
     d = len(basis)
     for pivots in combinations(range(d), dim):
@@ -353,31 +346,3 @@ def _subspace_words(basis: Sequence[int], dim: int) -> Iterator[Tuple[int, ...]]
                 if (assignment >> bit) & 1:
                     words[i] ^= w
             yield tuple(words)
-
-
-def enumerate_subspaces(ambient_dim: int, dim: int, cap: Optional[int] = None) -> Iterator[Subspace]:
-    """Yield every dim-dimensional subspace of GF(2)^ambient_dim once.
-
-    The order is deterministic: pivot-column combinations in
-    lexicographic order, then the free entries in ascending binary
-    order.  Refuses to run when the count exceeds the cap.
-    """
-    _check_enumeration(ambient_dim, dim, cap)
-    units = [1 << i for i in range(ambient_dim)]
-    for words in _subspace_words(units, dim):
-        yield Subspace._canonical(ambient_dim, words)
-
-
-def subspaces_of(space: Subspace, dim: int, cap: Optional[int] = None) -> Iterator[Subspace]:
-    """Yield every dim-dimensional subspace of the given subspace.
-
-    Enumerates in the coefficient space of the canonical basis and maps
-    back, so the order is deterministic; it is enumerate_subspaces's
-    order on the coefficients.  Refuses to run when the count exceeds
-    the cap.
-    """
-    if dim > space.dim:
-        return
-    _check_enumeration(space.dim, dim, cap)
-    for words in _subspace_words(space.basis._words, dim):
-        yield Subspace._canonical(space.ambient_dim, words)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
 
+import gf2_brute
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,7 +35,6 @@ from storagecodes.gf2 import (
     EnumerationCapError,
     Subspace,
     subspace_sum,
-    subspaces_of,
 )
 
 
@@ -291,13 +291,16 @@ def reference_repair_spaces(code, failed, helpers, beta):
     """The first choice of repair spaces, in search order, that covers failed.
 
     No pruning: every tuple of beta-dim subspaces of the sorted helpers'
-    storage spaces, first helper outermost.
+    storage spaces, first helper outermost, each helper's in the
+    brute-force canonical order; a tuple covers failed when the XOR
+    closure of its words holds failed's stored vectors.
     """
-    target = code.subspaces[failed]
-    choices = [list(subspaces_of(code.subspaces[h], beta)) for h in helpers]
+    m = code.message_dim
+    target = gf2_brute.span(code.node_bases[failed].words())
+    choices = [gf2_brute.subspaces(tuple(code.node_bases[h].words()), beta) for h in helpers]
     for spaces in product(*choices):
-        if subspace_sum(list(spaces)).contains_subspace(target):
-            return dict(zip(helpers, spaces))
+        if target <= gf2_brute.span(w for words in spaces for w in words):
+            return {h: Subspace(m, BitMatrix.from_words(m, w)) for h, w in zip(helpers, spaces)}
     return None
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import gf2_brute
 import pytest
 
 from storagecodes.bounds import cutset_bound, mbr_point
@@ -32,9 +33,9 @@ from storagecodes.constructions import (
     single_parity,
 )
 from storagecodes.gf2 import (
+    BitMatrix,
     BitVector,
     Subspace,
-    enumerate_subspaces,
     subspace_intersect,
     subspace_sum,
 )
@@ -223,10 +224,16 @@ def test_initial_bases_pairwise_trivial_and_triples_span():
         assert subspace_sum(list(triple)).dim == 5
 
 
+def brute_subspaces(m, d):
+    """The d-dimensional subspaces of GF(2)^m, found by brute force."""
+    units = tuple(1 << i for i in range(m))
+    return [Subspace(m, BitMatrix.from_words(m, w)) for w in gf2_brute.subspaces(units, d)]
+
+
 def test_pairwise_trivial_matches_intersection_oracle():
     # the sum-dimension test against Zassenhaus and against enumeration
     for m in range(1, 5):
-        spaces = [s for d in range(m + 1) for s in enumerate_subspaces(m, d)]
+        spaces = [s for d in range(m + 1) for s in brute_subspaces(m, d)]
         for a, b in combinations(spaces, 2):
             meet = {v.word for v in a.vectors()} & {v.word for v in b.vectors()}
             trivial = _trivial_meet(a.basis.words(), b.basis.words())

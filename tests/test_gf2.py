@@ -7,7 +7,9 @@ on seeded random inputs, plus hand-checked fixed values.
 
 import random
 
+import gf2_brute
 import pytest
+from gf2_brute import span as span_of
 from hypothesis import given, settings, strategies as st
 
 from storagecodes.gf2 import (
@@ -15,18 +17,16 @@ from storagecodes.gf2 import (
     BitVector,
     EnumerationCapError,
     Subspace,
+    _check_enumeration,
     _rref_words,
     _solve_words,
+    _subspace_words,
     _word_text,
-    enumerate_subspaces,
     gaussian_binomial,
-    rank,
-    rref,
     solve,
     span_contains,
     subspace_intersect,
     subspace_sum,
-    subspaces_of,
 )
 
 
@@ -136,23 +136,20 @@ def test_mat_vec_matches_explicit_sum_random():
 
 
 def test_rref_fixed_example():
-    mat = BitMatrix.from_strings(["111", "011", "100"])
-    reduced, rk = rref(mat)
-    assert rk == 2
-    assert reduced.to_strings() == ["100", "011"]
+    words = BitMatrix.from_strings(["111", "011", "100"]).words()
+    assert BitMatrix.from_words(3, _rref_words(words)).to_strings() == ["100", "011"]
 
 
 def test_rref_drops_zero_rows_and_is_idempotent():
+    # zero rows are dropped, so there is one row per dimension of the span
     rng = random.Random(5)
     for _ in range(100):
         m = rng.randrange(1, 9)
-        rows = rng.randrange(0, 7)
-        mat = BitMatrix.from_words(m, [rng.randrange(1 << m) for _ in range(rows)])
-        reduced, rk = rref(mat)
-        assert reduced.row_count == rk
-        again, rk2 = rref(reduced)
-        assert again.words() == reduced.words() and rk2 == rk
-        assert rank(mat) == rk
+        words = [rng.randrange(1 << m) for _ in range(rng.randrange(0, 7))]
+        reduced = _rref_words(words)
+        assert reduced == gf2_brute.rref(span_of(words))
+        assert len(reduced) == gf2_brute.rank(words)
+        assert _rref_words(reduced) == reduced
 
 
 def test_solve_round_trip_random():
@@ -269,31 +266,48 @@ def test_gaussian_binomial_values():
 
 def test_enumerate_subspaces_complete_and_distinct():
     for m in range(1, 6):
+        units = [1 << i for i in range(m)]
         for d in range(0, m + 1):
-            seen = set(
-                tuple(s.basis.words()) for s in enumerate_subspaces(m, d)
-            )
+            seen = set(_subspace_words(units, d))
             assert len(seen) == gaussian_binomial(m, d)
 
 
 def test_enumerate_subspaces_cap():
+    # 1395 subspaces of dimension 3 in GF(2)^6
+    _check_enumeration(6, 3, 1395)
     with pytest.raises(EnumerationCapError):
-        list(enumerate_subspaces(6, 3, cap=10))
+        _check_enumeration(6, 3, 1394)
+    with pytest.raises(ValueError):
+        _check_enumeration(3, 4, None)
 
 
 def test_subspaces_of_enumerates_inside_space():
     s = Subspace.spanned_by(
         5, [BitVector.from_string("11000"), BitVector.from_string("00110"), BitVector.from_string("00001")]
     )
-    lines = list(subspaces_of(s, 1))
+    basis = s.basis.words()
+    lines = list(_subspace_words(basis, 1))
     assert len(lines) == gaussian_binomial(3, 1)
     for line in lines:
-        assert line.dim == 1
-        assert s.contains_subspace(line)
-    planes = list(subspaces_of(s, 2))
+        assert len(line) == 1
+        assert s.contains_subspace(Subspace(5, BitMatrix.from_words(5, line)))
+    planes = list(_subspace_words(basis, 2))
     assert len(planes) == gaussian_binomial(3, 2)
-    assert len({tuple(p.basis.words()) for p in planes}) == len(planes)
-    assert list(subspaces_of(s, 4)) == []
+    assert len(set(planes)) == len(planes)
+    assert list(_subspace_words(basis, 4)) == []
+
+
+def test_subspace_words_order_matches_brute_force():
+    # The generator's order is the canonical key its docstring states,
+    # which the brute force sorts by: the same list, in the same order,
+    # for every d on seeded random RREF bases in GF(2)^m, m <= 6.
+    rng = random.Random(29)
+    for m in range(1, 7):
+        for _ in range(30):
+            words = [rng.randrange(1 << m) for _ in range(rng.randrange(m + 2))]
+            basis = tuple(gf2_brute.rref(span_of(words)))
+            for d in range(len(basis) + 1):
+                assert list(_subspace_words(basis, d)) == list(gf2_brute.subspaces(basis, d)), (basis, d)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +322,6 @@ def word_lists(draw, count: int = 1):
     m = draw(st.integers(1, 6))
     word = st.integers(0, (1 << m) - 1)
     return (m, *(draw(st.lists(word, max_size=7)) for _ in range(count)))
-
-
-def span_of(words) -> set:
-    span = {0}
-    for w in words:
-        span |= {x ^ w for x in span}
-    return span
 
 
 def assert_canonical(s: Subspace) -> None:
@@ -338,19 +345,22 @@ def test_producers_return_canonical_subspaces(case):
     for s, vectors in expect:
         assert_canonical(s)
         assert all_vectors(s) == vectors
+    members = all_vectors(a)
     for d in range(a.dim + 1):
-        subs = list(subspaces_of(a, d))
+        subs = list(_subspace_words(a.basis.words(), d))
         assert len(subs) == gaussian_binomial(a.dim, d)
-        for s in subs:
+        for words in subs:
+            s = Subspace._canonical(m, words)
             assert_canonical(s)
-            assert s.dim == d and all_vectors(s) <= all_vectors(a)
+            assert s.dim == d and all_vectors(s) <= members
 
 
 def test_enumerated_subspaces_are_canonical():
     for m in range(1, 7):
+        units = [1 << i for i in range(m)]
         for d in range(m + 1):
-            for s in enumerate_subspaces(m, d):
-                assert_canonical(s)
+            for words in _subspace_words(units, d):
+                assert_canonical(Subspace._canonical(m, words))
 
 
 @ORACLE
@@ -366,9 +376,8 @@ def test_solve_matches_exhaustive_search(case, rhs_seed):
         assert got is None
         return
     assert got is not None and got.word in solutions
-    reduced, _ = rref(mat)
     pivots = 0
-    for w in reduced.words():
+    for w in _rref_words(rows):
         pivots |= w & -w
     assert got.word & ~pivots == 0  # free variables are zero
 
@@ -436,4 +445,4 @@ def test_rref_words_extends_a_start_basis(case):
 @given(word_lists())
 def test_rank_is_dimension_of_row_span(case):
     m, rows = case
-    assert 1 << rank(BitMatrix.from_words(m, rows)) == len(span_of(rows))
+    assert 1 << len(_rref_words(rows)) == len(span_of(rows))

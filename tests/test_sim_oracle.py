@@ -3,9 +3,11 @@
 Functional repair is checked against its docstring taken literally.
 The reference tries the survivors' nonzero vectors, each survivor's
 sorted by text, in `itertools.product` order; takes the candidates of
-each span from the public `subspaces_of` on Subspace objects; and checks
-the whole assignment with `spec.satisfied`.  It keeps no memo and no
-int words, so it shares none of the fast path's shortcuts.
+each span from `gf2_brute.subspaces`, which finds them by XOR closure
+and sorts them by the canonical key, not from the generator the fast
+path runs; and checks the whole assignment with `spec.satisfied` on
+Subspace objects.  It keeps no memo of verdicts or of spans already
+searched, so it shares none of the fast path's shortcuts.
 
 Exact repair's prepared decoding masks are checked against a plain
 elimination of the received rows (see the section at the end).
@@ -14,9 +16,10 @@ elimination of the received rows (see the section at the end).
 import random
 from itertools import combinations, product
 
+import gf2_brute
 import pytest
 from test_codes import REGISTRY_CODES
-from test_constructions import reached_survivor_sets
+from test_constructions import brute_subspaces, reached_survivor_sets
 
 from storagecodes.codes import find_repair_plan
 from storagecodes.constructions import (
@@ -32,9 +35,7 @@ from storagecodes.gf2 import (
     BitVector,
     Subspace,
     _reduce,
-    enumerate_subspaces,
     subspace_sum,
-    subspaces_of,
 )
 from storagecodes.sim import (
     SimulationError,
@@ -56,9 +57,10 @@ def reference_repair(state, failed):
         sorted((v for v in spaces[i].vectors() if not v.is_zero()), key=BitVector.to_string)
         for i in survivors
     ]
+    m = state.message_dim
     for picks in product(*vectors):
-        span = Subspace.spanned_by(state.message_dim, picks)
-        for cand in subspaces_of(span, spec.node_dim):
+        for words in gf2_brute.subspaces(tuple(v.word for v in picks), spec.node_dim):
+            cand = Subspace(m, BitMatrix.from_words(m, words))
             if spec.satisfied(spaces[:failed] + [cand] + spaces[failed + 1:]):
                 return picks, cand
     raise StuckError(f"no replacement for node {failed}")
@@ -158,7 +160,7 @@ def _vectors(space):
 
 
 def _all_subspaces(m):
-    return [s for d in range(m + 1) for s in enumerate_subspaces(m, d)]
+    return [s for d in range(m + 1) for s in brute_subspaces(m, d)]
 
 
 def _sums(subset):
@@ -203,7 +205,7 @@ def test_admitter_matches_full_spec_check(spec, bases, count):
     # The prepared predicate reduces the survivor subsets once (t = 1, 2
     # and 3 between the two specs); the full check of all four spaces
     # is the oracle, on every two-dimensional candidate.
-    candidates = list(enumerate_subspaces(spec.ambient_dim, 2))
+    candidates = brute_subspaces(spec.ambient_dim, 2)
     assert len(candidates) == count
     verdicts = set()
     for others in reached_survivor_sets(spec, bases, 200, 7):
