@@ -35,7 +35,6 @@ from .constructions import (
     single_parity,
 )
 from .bounds import (
-    BoundReport,
     cutset_bound,
     info_distance_bound,
     linear_locality_distance_bound,

@@ -6,36 +6,9 @@ against constructed witnesses demand exact equality, so no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Dict, Optional, Tuple, Union
-
-Number = Union[int, Fraction]
-
-
-@dataclass
-class BoundReport:
-    """One evaluated bound: name, inputs, value, optional tightness info."""
-
-    bound_name: str
-    inputs: Dict[str, int]
-    value: Number
-    tight: Optional[bool] = None
-    witness: Optional[str] = None
-    extra: Dict[str, Number] = field(default_factory=dict)
-
-    def to_record(self) -> str:
-        parts = [f"bound={self.bound_name}"]
-        parts += [f"{k}={v}" for k, v in self.inputs.items()]
-        parts.append(f"value={self.value}")
-        for k, v in self.extra.items():
-            parts.append(f"{k}={v}")
-        if self.tight is not None:
-            parts.append(f"tight={int(self.tight)}")
-        if self.witness is not None:
-            parts.append(f"witness={self.witness}")
-        return " ".join(parts)
+from typing import Tuple
 
 
 def _check_k_r(k: int, r: int) -> None:

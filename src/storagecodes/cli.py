@@ -262,7 +262,7 @@ def cmd_bound(args) -> int:
     inputs = _bind(args.name, fn, args, BOUND_DEFAULTS)
     value, extra = fn(**inputs)
     inputs.pop("case", None)  # reported among the extras
-    print(bounds.BoundReport(args.name, inputs, value, extra=extra).to_record())
+    _emit("record-stream", [("bound", args.name), *inputs.items(), ("value", value), *extra.items()])
     return EXIT_OK
 
 

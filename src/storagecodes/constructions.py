@@ -200,11 +200,6 @@ def example1() -> NamedCode:
     return _exact("example1", 4, nodes, plans, k=2, r=3, beta=1)
 
 
-def pair_coordinates(n: int) -> List[Tuple[int, int]]:
-    """Lexicographic list of unordered pairs {i,j} over 0..n-1."""
-    return list(combinations(range(n), 2))
-
-
 def rbt_mbr(n: int = 4) -> NamedCode:
     """Rate-1/2 repair-by-transfer MBR code on C(n,2) pair coordinates.
 
@@ -213,7 +208,7 @@ def rbt_mbr(n: int = 4) -> NamedCode:
     """
     if n < 3:
         raise CodeError("rbt_mbr needs n >= 3")
-    index = {p: i for i, p in enumerate(pair_coordinates(n))}
+    index = {p: i for i, p in enumerate(combinations(range(n), 2))}
 
     def x(v: int, j: int) -> int:
         return 1 << index[(min(v, j), max(v, j))]
@@ -281,7 +276,10 @@ def _added_rank(prefix: Sequence[int], words: Sequence[int]) -> int:
 
     Each word is reduced by the prefix pivots, then by the words kept
     so far; whatever is left is kept, and is zero at every earlier
-    pivot, as _reduce needs.
+    pivot, as _reduce needs.  Not len(_rref_words(words, prefix)) -
+    len(prefix): the rank needs no pivot cleared from the kept rows and
+    no sort, and that one-liner made `perfbench` `marathon`, whose spec
+    checks run here, 25 % slower (wall_s 0.27 -> 0.34 s, 2-core Xeon VM).
     """
     rows = [*prefix]
     for w in words:

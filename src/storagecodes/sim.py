@@ -168,10 +168,6 @@ class SystemState:
         default_factory=dict, repr=False
     )
 
-    @property
-    def n(self) -> int:
-        return len(self.bases)
-
     def subspaces(self) -> List[Subspace]:
         return [Subspace.from_matrix(b) for b in self.bases]
 

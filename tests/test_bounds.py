@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from storagecodes.bounds import (
-    BoundReport,
     CASE_ALPHA_EQ_BETA,
     CASE_ALPHA_EQ_R_BETA,
     cutset_bound,
@@ -155,14 +154,3 @@ def test_theorem2_rate_bound():
     assert theorem2_rate_bound(2, 1) == Fraction(1, 2)
     assert theorem2_rate_bound(1, 1) == Fraction(2, 3)
 
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def test_bound_report_record():
-    report = BoundReport("cutset", {"k": 3, "r": 3}, 5, tight=True, witness="w")
-    record = report.to_record()
-    assert record.startswith("bound=cutset")
-    assert "k=3" in record and "value=5" in record
-    assert "tight=1" in record and "witness=w" in record

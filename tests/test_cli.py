@@ -799,6 +799,25 @@ def test_simulate_searched_exact_output_is_pinned(tmp_path, capsys):
     )
 
 
+def test_simulate_subspace_order_is_pinned(tmp_path, capsys):
+    # Each helper of the split repetition code holds a 4-dimensional space
+    # and sends 2 of it, so the plan found is the first admitted subspace
+    # in _subspace_words order.  The digest the CI smoke step checks on
+    # the installed console script.
+    path = write_code(tmp_path, capsys, "repetition", "--n", "6", "--r", "2", "--alpha", "4",
+                      "--variant", "split")
+    doc = json.loads(path.read_text())
+    del doc["repair_plans"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "--seed", "0", "--rounds", "200", "--format", "record-stream", "simulate", str(path)
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1f148b117c44ca1664dbcca89d35de4143793bc6ef210566e3fdab945741464"
+    )
+
+
 def test_simulate_rejects_negative_rounds(tmp_path, capsys):
     path = write_code(tmp_path, capsys, "example1")
     code, out, err = run(capsys, "--rounds", "-3", "simulate", str(path))
@@ -983,6 +1002,55 @@ def test_bound_rejects_options_it_does_not_take(capsys, bound):
     code, out, err = run(capsys, "bound", bound, *argv)
     assert (code, out) == (EXIT_PARSE, "")
     assert err == f"bad parameters: {bound} does not take {', '.join('--' + o for o in unused)}\n"
+
+
+# Each bound's whole record, with every option left out and with options
+# given: the inputs in parameter order, the value, then the extras.
+BOUND_RECORDS = [
+    (("cutset",), "bound=cutset k=1 r=1 alpha=1 beta=1 value=1"),
+    (("msr",), "bound=msr k=1 r=1 beta=1 value=1 alpha=1"),
+    (("mbr",), "bound=mbr k=1 r=1 beta=1 value=1 alpha=1"),
+    (("locality-distance",), "bound=locality-distance k=1 r=1 d=2 value=2"),
+    (("info-distance",), "bound=info-distance n=3 m=1 r=1 alpha=1 value=3"),
+    (("theorem1",), "bound=theorem1 n=3 r=1 alpha=1 value=1 case=alpha_eq_beta"),
+    (("theorem2",), "bound=theorem2 n=3 alpha=1 beta=1 value=2 rate_bound=2/3"),
+    (
+        ("cutset", "--beta", "2", "--alpha", "3", "--k", "3", "--r", "4"),
+        "bound=cutset k=3 r=4 alpha=3 beta=2 value=9",
+    ),
+    (("msr", "--k", "2", "--r", "5", "--beta", "3"), "bound=msr k=2 r=5 beta=3 value=24 alpha=12"),
+    (("mbr", "--k", "3", "--r", "4", "--beta", "2"), "bound=mbr k=3 r=4 beta=2 value=18 alpha=8"),
+    (
+        ("locality-distance", "--k", "7", "--r", "3", "--d", "4"),
+        "bound=locality-distance k=7 r=3 d=4 value=12",
+    ),
+    (
+        ("info-distance", "--n", "9", "--m", "10", "--r", "2", "--alpha", "3"),
+        "bound=info-distance n=9 m=10 r=2 alpha=3 value=5",
+    ),
+    (
+        ("info-distance", "--n", "2", "--m", "10", "--r", "1", "--alpha", "1"),
+        "bound=info-distance n=2 m=10 r=1 alpha=1 value=-16",
+    ),
+    (
+        ("theorem1", "--case", "alpha-eq-r-beta", "--n", "7", "--r", "3", "--alpha", "2"),
+        "bound=theorem1 n=7 r=3 alpha=2 value=7 case=alpha_eq_r_beta",
+    ),
+    (
+        ("theorem2", "--n", "7", "--alpha", "3", "--beta", "2"),
+        "bound=theorem2 n=7 alpha=3 beta=2 value=11 rate_bound=5/9",
+    ),
+]
+
+
+def test_bound_records_cover_every_bound():
+    assert {argv[0] for argv, _ in BOUND_RECORDS} == set(BOUND_OPTIONS)
+    assert {argv[0] for argv, _ in BOUND_RECORDS if len(argv) > 1} == set(BOUND_OPTIONS)
+
+
+@pytest.mark.parametrize("argv, record", BOUND_RECORDS)
+def test_bound_record_is_pinned(capsys, argv, record):
+    assert run(capsys, "bound", *argv) == (EXIT_OK, record + "\n", "")
 
 
 @pytest.mark.parametrize("bound", sorted(BOUND_OPTIONS))

@@ -27,7 +27,6 @@ from storagecodes.constructions import (
     example3_spec,
     functional_specs,
     named_codes,
-    pair_coordinates,
     rbt_mbr,
     repetition_code,
     single_parity,
@@ -90,10 +89,6 @@ def test_example1_rate_one_half():
 
 # ---------------------------------------------------------------------------
 # the repair-by-transfer MBR family
-
-
-def test_pair_coordinates():
-    assert pair_coordinates(3) == [(0, 1), (0, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
