@@ -133,9 +133,19 @@ class ExactRepair:
 
 @dataclass
 class FunctionalRepair:
-    """The newcomer may store any subspace the specification admits."""
+    """The newcomer may store any subspace the specification admits.
+
+    The candidate search depends only on the failed node and the
+    survivors' spaces, so `searched` keeps the prepared repair (see
+    _PreparedRepair) and the newcomer's basis under (failed node, each
+    survivor's RREF words), and a configuration seen before is not
+    searched again.  A search that gets stuck caches nothing.
+    """
 
     spec: FunctionalSpec
+    searched: Dict[tuple, Tuple[_PreparedRepair, BitMatrix]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __call__(self, state: SystemState, failed: int) -> None:
         functional_repair(state, failed)
@@ -147,8 +157,9 @@ class SystemState:
 
     The counters tally the repairs made, the symbols their helpers sent,
     the plans exact repair searched for, and the distinct candidates
-    functional repair checked against the spec; they are kept out of
-    the trace.  symbol_rows keeps each node's reduced symbol rows under
+    each functional-repair search checked against the spec (a repair
+    its rule already searched checks none); they are kept out of the
+    trace.  symbol_rows keeps each node's reduced symbol rows under
     the basis and block word they came from (see _symbol_rows).
     """
 
@@ -290,9 +301,9 @@ Fields = Tuple[Tuple[str, str], ...]
 
 
 class _PreparedRepair(NamedTuple):
-    """What an exact repair plan fixes: the (helper, vector) pairs sent,
-    the decoding mask of each row of the newcomer's basis, and the
-    repair record's fields (see _repair_fields)."""
+    """What a repair fixes before any symbol is read: the (helper,
+    vector) pairs sent, the decoding mask of each row of the newcomer's
+    basis, and the repair record's fields (see _repair_fields)."""
 
     sent: List[Tuple[int, int]]
     masks: List[int]
@@ -373,26 +384,52 @@ def functional_repair(state: SystemState, failed: int) -> None:
     subspaces in canonical enumeration order; the first combination
     satisfying the specification wins, making repairs replayable.
 
-    The search runs on int words.  Within one repair the survivors are
-    fixed, so the spec's rule subsets of survivors are reduced once
-    (spec.admitter), a verdict depends on the candidate alone, and
-    whether a span holds an admitted candidate on the span alone; both
-    are memoised, since different picks often span the same space.  The
-    first span that holds one ends the search.
+    Every repair checks the survivors against the spec, then looks up
+    the rule's `searched` repairs under (failed node, survivor spaces);
+    only a configuration not seen before is searched (see
+    _search_functional).  Every repair, searched or not, reads its
+    symbols off the helpers' current blocks and checks the rebuilt
+    block against the message.
     """
     if not isinstance(state.rule, FunctionalRepair):
         raise SimulationError("functional_repair requires a functional-repair state")
     if failed in state.live:
         raise SimulationError(f"node {failed} is still live; fail it first")
     spec = state.rule.spec
-    m = state.message_dim
     survivors = sorted(state.live)
     if len(survivors) != spec.node_count - 1:
         raise SimulationError("exactly one node may be failed at a time")
     survivor_spaces = [Subspace.from_matrix(state.bases[i]) for i in survivors]
-    # This check is the precondition of spec.admitter below.
+    # This check is the precondition of spec.admitter in _search_functional.
     if spec.violations(survivor_spaces):
         raise SimulationError("survivors no longer satisfy the specification")
+    # A space enters the key as its RREF words, as in ExactRepair.prepare;
+    # the precondition has fixed every width to the spec's.
+    key = (failed, *(space.basis._words for space in survivor_spaces))
+    searched = state.rule.searched
+    found = searched.get(key)
+    if found is None:
+        found = searched[key] = _search_functional(state, failed, survivors, survivor_spaces)
+    prepared, basis = found
+    _store_repair(
+        state, "repair-functional", failed, prepared.sent, prepared.masks, basis, prepared.fields
+    )
+
+
+def _search_functional(
+    state: SystemState, failed: int, survivors: List[int], survivor_spaces: List[Subspace]
+) -> Tuple[_PreparedRepair, BitMatrix]:
+    """The first admitted repair of failed from the survivors, prepared.
+
+    The search runs on int words.  The survivors are fixed, so the
+    spec's rule subsets of survivors are reduced once (spec.admitter), a
+    verdict depends on the candidate alone, and whether a span holds an
+    admitted candidate on the span alone; both are memoised, since
+    different picks often span the same space.  The first span that
+    holds one ends the search.
+    """
+    spec = state.rule.spec
+    m = state.message_dim
     admits = spec.admitter(survivor_spaces)
 
     survivor_vectors = [
@@ -423,15 +460,12 @@ def functional_repair(state: SystemState, failed: int) -> None:
 
     # Downloads: one symbol a_i . x per survivor.
     sent = list(zip(survivors, picked))
-    _store_repair(
-        state, "repair-functional", failed, sent, _decoder(picked, new_words, m),
-        new_space.basis,
-        _repair_fields(
-            sent,
-            ("vectors", ";".join(f"{i}:{_word_text(v, m)}" for i, v in sent)),
-            ("new_basis", _space_text(new_space)),
-        ),
+    fields = _repair_fields(
+        sent,
+        ("vectors", ";".join(f"{i}:{_word_text(v, m)}" for i, v in sent)),
+        ("new_basis", _space_text(new_space)),
     )
+    return _PreparedRepair(sent, _decoder(picked, new_words, m), fields), new_space.basis
 
 
 ScriptItem = Union[Tuple[str], Tuple[str, int], Tuple[str, Sequence[int]]]

@@ -783,6 +783,20 @@ def test_simulate_functional_output_is_pinned(tmp_path, capsys):
     )
 
 
+def test_simulate_functional_1000_round_output_is_pinned(tmp_path, capsys):
+    # The benchmark marathon's length, at which 273 of the 1000 repairs
+    # meet a survivor configuration already searched.  The digest the CI
+    # smoke step checks on the installed console script.
+    path = write_code(tmp_path, capsys, "example3")
+    code, out, err = run(
+        capsys, "--seed", "0", "--rounds", "1000", "--format", "record-stream", "simulate", str(path)
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a85c53fa422912d9ba20250298e60dd97f4215f1aa19a4cf40ce2d96e16c67e2"
+    )
+
+
 def test_simulate_searched_exact_output_is_pinned(tmp_path, capsys):
     # Without stored plans every repair searches all live helpers.  The
     # digest the CI smoke step checks on the installed console script.

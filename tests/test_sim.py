@@ -27,6 +27,7 @@ from storagecodes.sim import (
     run_scenario,
     trace_to_text,
 )
+from test_sim_oracle import SPEC_STUCK, SPEC_STUCK_BASES
 
 
 def fresh_exact(word=0b1011):
@@ -377,18 +378,63 @@ def test_functional_counters_equal_trace_values(monkeypatch):
     assert state.spec_checks == len(checked) > 0
 
 
-def test_functional_spec_checks_are_pinned():
-    # The benchmark marathon's inputs at seed 0.  28 603 distinct
-    # candidates go to the spec's admitter predicate; skipping spans
-    # already searched must not change that.
+def _marathon(fresh_rule=False):
+    """The benchmark marathon's inputs at seed 0: 1000 example-3 repairs,
+    with a fresh rule before every repair if fresh_rule."""
     spec = example3_spec()
     rng = random.Random(0)
     x = BitVector(5, 1 + rng.randrange(31))
     state = encode_functional(spec, example3_initial_bases(), x)
     for victim in [rng.randrange(4) for _ in range(1000)]:
+        if fresh_rule:
+            state.rule = sim.FunctionalRepair(spec)
         fail(state, victim)
         functional_repair(state, victim)
-    assert (state.repairs, state.symbols_transferred, state.spec_checks) == (1000, 3000, 28603)
+    return state
+
+
+def test_functional_spec_checks_are_pinned():
+    # 21 041 distinct candidates go to the spec's admitter predicate in
+    # 727 searches; skipping spans already searched must not change that.
+    state = _marathon()
+    assert (state.repairs, state.symbols_transferred, state.spec_checks) == (1000, 3000, 21041)
+
+
+def test_a_survivor_configuration_seen_before_is_searched_once():
+    state = _marathon()
+    assert (state.spec_checks, len(state.rule.searched)) == (21041, 727)
+    # A fresh rule before every repair searches every time.  Its count
+    # pins the search order: 28 603 distinct candidates in 1000 searches.
+    fresh = _marathon(fresh_rule=True)
+    assert fresh.spec_checks == 28603
+    assert trace_to_text(fresh.trace) == trace_to_text(state.trace)
+
+
+def test_a_stuck_search_is_not_cached():
+    state = encode_functional(SPEC_STUCK, SPEC_STUCK_BASES, BitVector(4, 0b1101))
+    fail(state, 0)
+    with pytest.raises(StuckError):
+        functional_repair(state, 0)
+    checks = state.spec_checks
+    with pytest.raises(StuckError, match="^no spec-satisfying replacement exists for node 0$"):
+        functional_repair(state, 0)
+    assert state.spec_checks == 2 * checks > 0
+    assert state.rule.searched == {}
+
+
+def test_the_survivors_are_checked_on_a_configuration_already_searched():
+    state, spec, x = fresh_functional()
+    fail(state, 2)
+    functional_repair(state, 2)
+    fail(state, 2)
+    functional_repair(state, 2)
+    assert len(state.rule.searched) == 1
+    fail(state, 2)
+    # nodes 0 and 1 now store the same space, which the spec forbids
+    state.bases[0] = state.bases[1]
+    with pytest.raises(SimulationError, match="^survivors no longer satisfy the specification$"):
+        functional_repair(state, 2)
+    assert len(state.rule.searched) == 1
 
 
 def test_exact_counters_equal_trace_values():
