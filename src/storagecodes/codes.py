@@ -286,7 +286,16 @@ def repair_locality(
 
     def fits(failed: int, size: int) -> bool:
         others = [i for i in range(code.n) if i != failed]
-        return any(find_repair_plan(code, failed, s, beta, cap) for s in combinations(others, size))
+        target = code.subspaces[failed].basis.words()
+        for s in combinations(others, size):
+            # find_repair_plan's first cut, without its setup: the helpers'
+            # full spaces must cover the failed node's space.
+            reach = _rref_words(w for i in s for w in code.subspaces[i].basis.words())
+            if not any(_reduce(reach, t) for t in target) and find_repair_plan(
+                code, failed, s, beta, cap
+            ):
+                return True
+        return False
 
     worst = 0
     for failed in range(code.n):

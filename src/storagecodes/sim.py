@@ -119,14 +119,8 @@ class ExactRepair:
             # Each helper sends its stored block projected on its repair-space basis.
             sent = [(h, v) for h in plan.helpers for v in spaces[h].basis.words()]
             text = ";".join(f"{h}:{_space_text(spaces[h])}" for h in plan.helpers)
-            prepared = self.checked[content] = _PreparedRepair(
-                sent,
-                _decoder(
-                    [v for _, v in sent],
-                    self.code.node_bases[plan.failed].words(),
-                    self.code.message_dim,
-                ),
-                _repair_fields(sent, ("spaces", text)),
+            prepared = self.checked[content] = _prepared(
+                sent, self.code.node_bases[plan.failed], self.code.message_dim, ("spaces", text)
             )
         return prepared
 
@@ -137,18 +131,33 @@ class FunctionalRepair:
 
     The candidate search depends only on the failed node and the
     survivors' spaces, so `searched` keeps the prepared repair (see
-    _PreparedRepair) and the newcomer's basis under (failed node, each
-    survivor's RREF words), and a configuration seen before is not
-    searched again.  A search that gets stuck caches nothing.
+    _PreparedRepair) under (failed node, each survivor's RREF words),
+    and a configuration seen before is not searched again.  A search
+    that gets stuck caches nothing.
     """
 
     spec: FunctionalSpec
-    searched: Dict[tuple, Tuple[_PreparedRepair, BitMatrix]] = field(
-        default_factory=dict, repr=False
-    )
+    searched: Dict[tuple, _PreparedRepair] = field(default_factory=dict, repr=False)
 
     def __call__(self, state: SystemState, failed: int) -> None:
         functional_repair(state, failed)
+
+    def prepare(self, state: SystemState, failed: int) -> _PreparedRepair:
+        """The repair of failed from the live nodes, searched on first use."""
+        survivors = sorted(state.live)
+        survivor_spaces = [Subspace.from_matrix(state.bases[i]) for i in survivors]
+        # This check is the precondition of spec.admitter in _search_functional.
+        if self.spec.violations(survivor_spaces):
+            raise SimulationError("survivors no longer satisfy the specification")
+        # A space enters the key as its RREF words, as in ExactRepair.prepare;
+        # the precondition has fixed every width to the spec's.
+        key = (failed, *(space.basis._words for space in survivor_spaces))
+        prepared = self.searched.get(key)
+        if prepared is None:
+            prepared = self.searched[key] = _search_functional(
+                state, failed, survivors, survivor_spaces
+            )
+        return prepared
 
 
 @dataclass
@@ -280,62 +289,44 @@ def collect(state: SystemState, indices: Sequence[int]) -> Optional[BitVector]:
     return result
 
 
-def _decoder(vectors: Sequence[int], rows: Sequence[int], m: int) -> List[int]:
-    """For each row, the mask of the vectors (by index) whose sum it is.
-
-    One elimination over the rows v_j | 1 << (m + j) keeps, in the bits
-    above m, which vectors each reduced row sums; reducing a row by them
-    clears its bits below m and leaves its mask above.
-    """
-    tagged = _rref_words(v | 1 << (m + j) for j, v in enumerate(vectors))
-    masks = []
-    for row in rows:
-        w = _reduce(tagged, row)
-        if w & ((1 << m) - 1):
-            raise SimulationError("vector is not in the expected row span")
-        masks.append(w >> m)
-    return masks
-
-
-Fields = Tuple[Tuple[str, str], ...]
-
-
 class _PreparedRepair(NamedTuple):
     """What a repair fixes before any symbol is read: the (helper,
-    vector) pairs sent, the decoding mask of each row of the newcomer's
-    basis, and the repair record's fields (see _repair_fields)."""
+    vector) pairs sent, the newcomer's basis, the decoding mask of each
+    of its rows, and the repair record's fields after the node."""
 
     sent: List[Tuple[int, int]]
+    basis: BitMatrix
     masks: List[int]
-    fields: Fields
+    fields: Tuple[Tuple[str, str], ...]
 
 
-def _repair_fields(sent: Sequence[Tuple[int, int]], *extra: Tuple[str, str]) -> Fields:
-    """A repair record's fields after the node: helpers, symbol count, extra."""
-    return (
-        ("helpers", ",".join(map(str, dict.fromkeys(h for h, _ in sent)))),
-        ("symbols_transferred", str(len(sent))),
-        *extra,
-    )
+def _prepared(
+    sent: List[Tuple[int, int]], basis: BitMatrix, m: int, *extra: Tuple[str, str]
+) -> _PreparedRepair:
+    """The repair that rebuilds basis from the symbols of sent's vectors.
 
-
-def _store_repair(
-    state: SystemState,
-    kind: str,
-    failed: int,
-    sent: Sequence[Tuple[int, int]],
-    masks: Sequence[int],
-    basis: BitMatrix,
-    fields: Fields,
-) -> None:
-    """Rebuild, check, store and record the newcomer's block for basis.
-
-    sent lists, helper by helper, each (helper, v) whose symbol v . x the
-    helper sends, read off its symbol rows (see _symbol_rows); bit i of
-    the block is the sum of the symbols that masks[i] selects (see
-    _decoder).  The newcomer checks its block against the out-of-band
-    message.
+    Row i's mask selects the sent vectors (by index) whose sum it is.
+    One elimination over the rows v_j | 1 << (m + j) keeps, in the bits
+    above m, which vectors each reduced row sums, so reducing a row by
+    them reads its mask as _symbol reads a symbol.  The record's fields
+    are the helpers, the symbol count, then extra.
     """
+    tagged = _rref_words(v | 1 << (m + j) for j, (_, v) in enumerate(sent))
+    masks = [_symbol(tagged, row, m) for row in basis.words()]
+    helpers = ",".join(map(str, dict.fromkeys(h for h, _ in sent)))
+    fields = (("helpers", helpers), ("symbols_transferred", str(len(sent))), *extra)
+    return _PreparedRepair(sent, basis, masks, fields)
+
+
+def _store_repair(state: SystemState, kind: str, failed: int, prepared: _PreparedRepair) -> None:
+    """Rebuild, check, store and record the newcomer's block.
+
+    Each (helper, v) sent gives the symbol v . x, read off the helper's
+    symbol rows (see _symbol_rows); bit i of the block is the sum of the
+    symbols that mask i selects (see _prepared).  The newcomer checks
+    its block against the out-of-band message.
+    """
+    sent, basis, masks, fields = prepared
     m = state.message_dim
     symbols = 0
     for j, (h, v) in enumerate(sent):
@@ -367,11 +358,7 @@ def exact_repair(state: SystemState, plan: RepairPlan) -> None:
     for h in plan.helpers:
         if h not in state.live:
             raise SimulationError(f"helper {h} is not live")
-    prepared = state.rule.prepare(plan)
-    _store_repair(
-        state, "repair-exact", plan.failed, prepared.sent, prepared.masks,
-        state.rule.code.node_bases[plan.failed], prepared.fields,
-    )
+    _store_repair(state, "repair-exact", plan.failed, state.rule.prepare(plan))
 
 
 def functional_repair(state: SystemState, failed: int) -> None:
@@ -384,10 +371,10 @@ def functional_repair(state: SystemState, failed: int) -> None:
     subspaces in canonical enumeration order; the first combination
     satisfying the specification wins, making repairs replayable.
 
-    Every repair checks the survivors against the spec, then looks up
-    the rule's `searched` repairs under (failed node, survivor spaces);
-    only a configuration not seen before is searched (see
-    _search_functional).  Every repair, searched or not, reads its
+    Every repair checks the survivors against the spec, then takes the
+    rule's prepared repair for (failed node, survivor spaces); only a
+    configuration not seen before is searched (see
+    FunctionalRepair.prepare).  Every repair, searched or not, reads its
     symbols off the helpers' current blocks and checks the rebuilt
     block against the message.
     """
@@ -395,30 +382,14 @@ def functional_repair(state: SystemState, failed: int) -> None:
         raise SimulationError("functional_repair requires a functional-repair state")
     if failed in state.live:
         raise SimulationError(f"node {failed} is still live; fail it first")
-    spec = state.rule.spec
-    survivors = sorted(state.live)
-    if len(survivors) != spec.node_count - 1:
+    if len(state.live) != state.rule.spec.node_count - 1:
         raise SimulationError("exactly one node may be failed at a time")
-    survivor_spaces = [Subspace.from_matrix(state.bases[i]) for i in survivors]
-    # This check is the precondition of spec.admitter in _search_functional.
-    if spec.violations(survivor_spaces):
-        raise SimulationError("survivors no longer satisfy the specification")
-    # A space enters the key as its RREF words, as in ExactRepair.prepare;
-    # the precondition has fixed every width to the spec's.
-    key = (failed, *(space.basis._words for space in survivor_spaces))
-    searched = state.rule.searched
-    found = searched.get(key)
-    if found is None:
-        found = searched[key] = _search_functional(state, failed, survivors, survivor_spaces)
-    prepared, basis = found
-    _store_repair(
-        state, "repair-functional", failed, prepared.sent, prepared.masks, basis, prepared.fields
-    )
+    _store_repair(state, "repair-functional", failed, state.rule.prepare(state, failed))
 
 
 def _search_functional(
     state: SystemState, failed: int, survivors: List[int], survivor_spaces: List[Subspace]
-) -> Tuple[_PreparedRepair, BitMatrix]:
+) -> _PreparedRepair:
     """The first admitted repair of failed from the survivors, prepared.
 
     The search runs on int words.  The survivors are fixed, so the
@@ -460,12 +431,13 @@ def _search_functional(
 
     # Downloads: one symbol a_i . x per survivor.
     sent = list(zip(survivors, picked))
-    fields = _repair_fields(
+    return _prepared(
         sent,
+        new_space.basis,
+        m,
         ("vectors", ";".join(f"{i}:{_word_text(v, m)}" for i, v in sent)),
         ("new_basis", _space_text(new_space)),
     )
-    return _PreparedRepair(sent, _decoder(picked, new_words, m), fields), new_space.basis
 
 
 ScriptItem = Union[Tuple[str], Tuple[str, int], Tuple[str, Sequence[int]]]

@@ -771,65 +771,75 @@ def test_simulate_functional(tmp_path, capsys):
     assert "repairs: 10" in out
 
 
-def test_simulate_functional_output_is_pinned(tmp_path, capsys):
-    # The digest the CI smoke step checks on the installed console script.
-    path = write_code(tmp_path, capsys, "example3")
-    code, out, err = run(
-        capsys, "--seed", "0", "--rounds", "200", "--format", "record-stream", "simulate", str(path)
-    )
-    assert (code, err) == (EXIT_OK, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2458d42b5ffa011c5ab69c4bcc290c40a21f463645ad32992c884809ec3dc0bc"
-    )
-
-
-def test_simulate_functional_1000_round_output_is_pinned(tmp_path, capsys):
+SIMULATE = "--seed 0 --format record-stream --rounds"
+# Every digest the CI console step checks on the installed entry point,
+# by name: (construct arguments, or None for a command that reads no code
+# file; whether the file's repair plans are deleted; the command's
+# arguments, followed by the code file's path; sha256 of stdout).
+CONSOLE_PINS = {
+    "simulate-example3": (
+        "example3", False, f"{SIMULATE} 200 simulate",
+        "2458d42b5ffa011c5ab69c4bcc290c40a21f463645ad32992c884809ec3dc0bc",
+    ),
     # The benchmark marathon's length, at which 273 of the 1000 repairs
-    # meet a survivor configuration already searched.  The digest the CI
-    # smoke step checks on the installed console script.
-    path = write_code(tmp_path, capsys, "example3")
-    code, out, err = run(
-        capsys, "--seed", "0", "--rounds", "1000", "--format", "record-stream", "simulate", str(path)
-    )
-    assert (code, err) == (EXIT_OK, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a85c53fa422912d9ba20250298e60dd97f4215f1aa19a4cf40ce2d96e16c67e2"
-    )
-
-
-def test_simulate_searched_exact_output_is_pinned(tmp_path, capsys):
-    # Without stored plans every repair searches all live helpers.  The
-    # digest the CI smoke step checks on the installed console script.
-    path = write_code(tmp_path, capsys, "rbt-mbr", "--n", "8")
-    doc = json.loads(path.read_text())
-    del doc["repair_plans"]
-    path.write_text(json.dumps(doc))
-    code, out, err = run(
-        capsys, "--seed", "0", "--rounds", "200", "--format", "record-stream", "simulate", str(path)
-    )
-    assert (code, err) == (EXIT_OK, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f84e022bd5616f714496dab6c321215794d70d8a3765afb2eae0219ad7af5cbf"
-    )
-
-
-def test_simulate_subspace_order_is_pinned(tmp_path, capsys):
+    # meet a survivor configuration already searched.
+    "simulate-example3-1000": (
+        "example3", False, f"{SIMULATE} 1000 simulate",
+        "a85c53fa422912d9ba20250298e60dd97f4215f1aa19a4cf40ce2d96e16c67e2",
+    ),
+    "simulate-example1": (
+        "example1", False, f"{SIMULATE} 200 simulate",
+        "8cfa214d5bc272b9491403f1dea2acdaa06523bc148b506ce67c06dfe07868ca",
+    ),
+    # Without stored plans every repair searches all live helpers.
+    "simulate-rbt-mbr-8-searched": (
+        "rbt-mbr --n 8", True, f"{SIMULATE} 200 simulate",
+        "f84e022bd5616f714496dab6c321215794d70d8a3765afb2eae0219ad7af5cbf",
+    ),
+    # Each helper sends two vectors of its space.
+    "simulate-repetition-copy-searched": (
+        "repetition --n 6 --r 2 --alpha 2 --variant copy", True, f"{SIMULATE} 200 simulate",
+        "8e313ac6008f092c2951d341c651c39ede644bfb40b4c25b0ba966bdcdb1f37f",
+    ),
     # Each helper of the split repetition code holds a 4-dimensional space
     # and sends 2 of it, so the plan found is the first admitted subspace
-    # in _subspace_words order.  The digest the CI smoke step checks on
-    # the installed console script.
-    path = write_code(tmp_path, capsys, "repetition", "--n", "6", "--r", "2", "--alpha", "4",
-                      "--variant", "split")
-    doc = json.loads(path.read_text())
-    del doc["repair_plans"]
-    path.write_text(json.dumps(doc))
-    code, out, err = run(
-        capsys, "--seed", "0", "--rounds", "200", "--format", "record-stream", "simulate", str(path)
-    )
+    # in _subspace_words order.
+    "simulate-repetition-split-searched": (
+        "repetition --n 6 --r 2 --alpha 4 --variant split", True, f"{SIMULATE} 200 simulate",
+        "a1f148b117c44ca1664dbcca89d35de4143793bc6ef210566e3fdab945741464",
+    ),
+    "game-r2": (
+        None, False, "game --case r2 --n 7 --r 2 --alpha 2 --beta 1",
+        "e3ae85d6a04ea794911d85d8ed36d6e9a025ed684df74b9cb028d7a530e31c60",
+    ),
+    # Below the horizon that certifies the bound: holds=0, exit 0.
+    "game-r2-horizon-3": (
+        None, False, "game --case r2 --n 7 --r 2 --alpha 2 --beta 1 --horizon 3",
+        "a2e8c883130dd2c1a2e4d4bfbbe0323a0b1942e1c20c650f9abea0c18fbc87e0",
+    ),
+    # A principal line through dead initial ancestors, which the
+    # collector's flow network contracts into the source.
+    "game-r3": (
+        None, False, "game --case alpha_eq_r_beta --n 4 --r 3 --alpha 3 --beta 1",
+        "cb3d3bfc2314e3c3fac419e11beb3705d9d805d18914b33d57e38467db5913aa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSOLE_PINS))
+def test_console_output_is_pinned(tmp_path, capsys, name):
+    construct, drop_plans, argv, digest = CONSOLE_PINS[name]
+    argv = argv.split()
+    if construct is not None:
+        path = write_code(tmp_path, capsys, *construct.split())
+        if drop_plans:
+            doc = json.loads(path.read_text())
+            _drop_plans(doc)
+            path.write_text(json.dumps(doc))
+        argv.append(str(path))
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a1f148b117c44ca1664dbcca89d35de4143793bc6ef210566e3fdab945741464"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_rejects_negative_rounds(tmp_path, capsys):

@@ -9,6 +9,7 @@ import gf2_brute
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storagecodes import codes
 from storagecodes.codes import (
     CodeError,
     CodeParams,
@@ -464,6 +465,24 @@ def test_repair_locality_searches_nothing_below_a_minimal_plan():
     assert repair_locality(named.code, 1, cap=2, plans=named.repair_plans) == 5
     with pytest.raises(EnumerationCapError):
         repair_locality(named.code, 1, cap=2)
+
+
+def test_repair_locality_calls_find_repair_plan_only_on_covering_helper_sets(monkeypatch):
+    # On parity no r - 1 nodes cover another node's space, so walking down
+    # from the stored plans calls find_repair_plan on no helper set, and
+    # a scan up from size 1 calls it only on the r other nodes together.
+    named = single_parity(4)
+    calls = []
+
+    def counted(code, failed, helpers, *args):
+        calls.append(helpers)
+        return find_repair_plan(code, failed, helpers, *args)
+
+    monkeypatch.setattr(codes, "find_repair_plan", counted)
+    assert repair_locality(named.code, 1, plans=named.repair_plans) == 4
+    assert calls == []
+    assert repair_locality(named.code, 1) == 4
+    assert calls == [tuple(j for j in range(5) if j != f) for f in range(5)]
 
 
 def test_repair_locality_none_when_unrepairable():

@@ -9,7 +9,7 @@ path runs; and checks the whole assignment with `spec.satisfied` on
 Subspace objects.  It keeps no memo of verdicts or of spans already
 searched, so it shares none of the fast path's shortcuts.
 
-Exact repair's prepared decoding masks are checked against a plain
+Both rules' prepared decoding masks are checked against a plain
 elimination of the received rows (see the section at the end).
 """
 
@@ -77,8 +77,10 @@ def reference_record(state, failed, picks, cand):
 
 
 def check_rounds(spec, bases, seed, rounds):
-    """Compare functional_repair with the reference over seeded rounds."""
+    """Compare functional_repair with the reference over seeded rounds,
+    and each prepared repair's masks with the received-rows oracle."""
     rng = random.Random(seed)
+    messages = random.Random(seed + 1)  # for the masks, apart from the victims
     x = BitVector(spec.ambient_dim, rng.randrange(1 << spec.ambient_dim))
     state = encode_functional(spec, bases, x)
     for _ in range(rounds):
@@ -86,8 +88,13 @@ def check_rounds(spec, bases, seed, rounds):
         fail(state, victim)
         picks, cand = reference_repair(state, victim)
         expected = reference_record(state, victim, picks, cand)
+        prepared = state.rule.prepare(state, victim)
+        _check_masks(prepared, messages, spec.ambient_dim)
+        # A configuration already searched gets the entry its search cached.
+        assert state.rule.prepare(state, victim) is prepared
         functional_repair(state, victim)
         assert state.trace[-1].to_record() == expected
+        assert state.bases[victim] is prepared.basis
         assert Subspace.from_matrix(state.bases[victim]) == cand
         assert state.bases[victim].to_strings() == cand.basis.to_strings()
 
@@ -151,6 +158,8 @@ def test_both_searches_get_stuck_together(victim):
         reference_repair(state, victim)
     with pytest.raises(StuckError):
         functional_repair(state, victim)
+    with pytest.raises(StuckError):
+        state.rule.prepare(state, victim)
     assert len(state.trace) == 2  # encode and fail; nothing stored
     assert state.repairs == 0
 
@@ -218,7 +227,7 @@ def test_admitter_matches_full_spec_check(spec, bases, count):
 
 
 # ---------------------------------------------------------------------------
-# Exact repair's decoding masks against the received-rows reconstruction.
+# Both rules' decoding masks against the received-rows reconstruction.
 # The oracle rebuilds the newcomer's block the way the simulator did before
 # it prepared masks: eliminate the received rows v | (v . x) << m and reduce
 # each basis row by them.  Which stored bits a helper's symbols read comes
@@ -254,6 +263,19 @@ def _received_rows_block(sent, symbols, basis_rows, m):
     return block
 
 
+def _check_masks(prepared, rng, m):
+    """The block the masks rebuild from the symbols sent, for 8 messages,
+    against the received-rows oracle and the newcomer's true block."""
+    basis_rows = prepared.basis.words()
+    for _ in range(8):
+        x = rng.randrange(1 << m)
+        symbols = [_parity(v & x) for _, v in prepared.sent]
+        word = sum(s << j for j, s in enumerate(symbols))
+        from_masks = sum(_parity(mask & word) << i for i, mask in enumerate(prepared.masks))
+        assert from_masks == _received_rows_block(prepared.sent, symbols, basis_rows, m)
+        assert from_masks == sum(_parity(b & x) << i for i, b in enumerate(basis_rows))
+
+
 def _expansion(rows, v):
     """The mask of rows whose sum is v, by trying every subset."""
     for mask in range(1 << len(rows)):
@@ -268,7 +290,6 @@ def _expansion(rows, v):
 
 def _check_prepared_plan(code, plan, rng):
     m = code.message_dim
-    basis_rows = code.node_bases[plan.failed].words()
     state = encode(code, BitVector(m, rng.randrange(1 << m)), {plan.failed: plan})
     fail(state, plan.failed)
     exact_repair(state, plan)
@@ -276,13 +297,8 @@ def _check_prepared_plan(code, plan, rng):
     assert prepared.sent == [
         (h, v) for h in plan.helpers for v in plan.repair_spaces[h].basis.words()
     ]
-    for _ in range(8):
-        x = rng.randrange(1 << m)
-        symbols = [_parity(v & x) for _, v in prepared.sent]
-        word = sum(s << j for j, s in enumerate(symbols))
-        from_masks = sum(_parity(mask & word) << i for i, mask in enumerate(prepared.masks))
-        assert from_masks == _received_rows_block(prepared.sent, symbols, basis_rows, m)
-        assert from_masks == sum(_parity(b & x) << i for i, b in enumerate(basis_rows))
+    assert prepared.basis is code.node_bases[plan.failed]
+    _check_masks(prepared, rng, m)
 
     # Flipping stored bit t of helper h flips the symbols of the sent
     # vectors whose expansion uses h's row t; the block changes iff a
