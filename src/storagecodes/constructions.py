@@ -22,7 +22,7 @@ from .codes import (
     validate,
     validate_plan,
 )
-from .gf2 import BitMatrix, Subspace, _reduce, _rref_words
+from .gf2 import BitMatrix, Subspace, _rref_words
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,10 @@ class NamedCode:
     spec: Optional[FunctionalSpec] = None
 
 
+# Rule verdicts: (rule index, prefix words) -> candidate words -> verdict.
+Verdicts = Dict[Tuple[int, Tuple[int, ...]], Dict[Tuple[int, ...], bool]]
+
+
 @dataclass(frozen=True)
 class FunctionalSpec:
     """A decidable predicate bundle over node-subspace assignments.
@@ -47,7 +51,9 @@ class FunctionalSpec:
     Each rule (name, t, test) requires every t-subset of the storage
     spaces to pass test(prefix, words): prefix is the RREF of the sum of
     t-1 of the spaces, words the basis words of the last one.  The split
-    lets admitter reduce the survivors' prefixes once per repair.
+    lets admitter reduce the survivors' prefixes once per repair.  A
+    test must be a deterministic function of (prefix, words): admitter
+    keeps each verdict it reaches and returns it for the same pair.
     """
 
     name: str
@@ -93,7 +99,9 @@ class FunctionalSpec:
     def satisfied(self, spaces: Sequence[Subspace]) -> bool:
         return not self.violations(spaces)
 
-    def admitter(self, others: Sequence[Subspace]) -> Callable[[Sequence[int]], bool]:
+    def admitter(
+        self, others: Sequence[Subspace], verdicts: Optional[Verdicts] = None
+    ) -> Callable[[Sequence[int]], bool]:
         """A predicate on a candidate's RREF basis words: whether others
         plus the candidate satisfy the spec, given that others do.
 
@@ -102,13 +110,32 @@ class FunctionalSpec:
         checked, each against its other spaces' sum reduced here once,
         and the check stops at the first failure.  The candidate must
         have node_dim dimensions in the spec's ambient space.
+
+        A test's verdict depends only on its prefix and the candidate,
+        so verdicts keeps each under (rule index, prefix words), then
+        the candidate's words, and a test is run only on a miss.  The
+        table may be shared by every admitter of this spec; without one
+        the admitter starts its own.
         """
-        checks = [
-            (test, _sum_rref(subset))
-            for _, t, test in self.rules
-            for subset in combinations(others, t - 1)
-        ]
-        return lambda words: all(test(prefix, words) for test, prefix in checks)
+        if verdicts is None:
+            verdicts = {}
+        checks = []
+        for i, (_, t, test) in enumerate(self.rules):
+            for subset in combinations(others, t - 1):
+                prefix = _sum_rref(subset)
+                checks.append((test, prefix, verdicts.setdefault((i, tuple(prefix)), {})))
+
+        def admits(words: Sequence[int]) -> bool:
+            key = tuple(words)
+            for test, prefix, known in checks:
+                verdict = known.get(key)
+                if verdict is None:
+                    verdict = known[key] = test(prefix, words)
+                if not verdict:
+                    return False
+            return True
+
+        return admits
 
 
 def _sum_rref(spaces: Sequence[Subspace]) -> List[int]:
@@ -275,15 +302,20 @@ def _added_rank(prefix: Sequence[int], words: Sequence[int]) -> int:
     """The rank words add to the span of prefix, which must be in RREF.
 
     Each word is reduced by the prefix pivots, then by the words kept
-    so far; whatever is left is kept, and is zero at every earlier
-    pivot, as _reduce needs.  Not len(_rref_words(words, prefix)) -
-    len(prefix): the rank needs no pivot cleared from the kept rows and
-    no sort, and that one-liner made `perfbench` `marathon`, whose spec
-    checks run here, 25 % slower (wall_s 0.27 -> 0.34 s, 2-core Xeon VM).
+    so far (_reduce, inlined as in _rref_words); whatever is left is
+    kept, and is zero at every earlier pivot, as that reduction needs.
+    Not len(_rref_words(words, prefix)) - len(prefix): the rank needs no
+    pivot cleared from the kept rows and no sort, and that one-liner
+    made `perfbench` `marathon`, whose spec checks run here, 25 % slower
+    (wall_s 0.27 -> 0.34 s, 2-core Xeon VM).  Inlining _reduce took the
+    fastest of 15 in-process 1000-repair marathons from 0.159-0.188 s to
+    0.155-0.186 s, lower in 8 of 8 alternating runs (same VM).
     """
     rows = [*prefix]
     for w in words:
-        w = _reduce(rows, w)
+        for row in rows:
+            if w & row & -row:
+                w ^= row
         if w:
             rows.append(w)
     return len(rows) - len(prefix)

@@ -20,7 +20,7 @@ from .codes import (
     find_repair_plan,
     validate_plan,
 )
-from .constructions import FunctionalSpec
+from .constructions import FunctionalSpec, Verdicts
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -133,11 +133,16 @@ class FunctionalRepair:
     survivors' spaces, so `searched` keeps the prepared repair (see
     _PreparedRepair) under (failed node, each survivor's RREF words),
     and a configuration seen before is not searched again.  A search
-    that gets stuck caches nothing.
+    that gets stuck caches nothing.  A survivor keeps its space until
+    it fails, so searches of new configurations repeat rule tests:
+    `verdicts` keeps each test's verdict (see FunctionalSpec.admitter)
+    for every search of this rule.  It is kept here, not on the spec,
+    so spec.violations and spec.satisfied never read it.
     """
 
     spec: FunctionalSpec
     searched: Dict[tuple, _PreparedRepair] = field(default_factory=dict, repr=False)
+    verdicts: Verdicts = field(default_factory=dict, repr=False)
 
     def __call__(self, state: SystemState, failed: int) -> None:
         functional_repair(state, failed)
@@ -396,32 +401,37 @@ def _search_functional(
     spec's rule subsets of survivors are reduced once (spec.admitter), a
     verdict depends on the candidate alone, and whether a span holds an
     admitted candidate on the span alone; both are memoised, since
-    different picks often span the same space.  The first span that
-    holds one ends the search.
+    different picks often span the same space.  A span of fewer than
+    node_dim rows holds no candidate.  The first span that holds an
+    admitted one ends the search.  Each rule test's verdict is kept
+    across searches in the rule's verdicts table (see spec.admitter).
     """
     spec = state.rule.spec
-    m = state.message_dim
-    admits = spec.admitter(survivor_spaces)
+    m, dim = state.message_dim, spec.node_dim
+    admits = spec.admitter(survivor_spaces, state.rule.verdicts)
 
-    survivor_vectors = [
-        sorted((v.word for v in space.vectors() if v.word), key=lambda w: _word_text(w, m))
-        for space in survivor_spaces
-    ]
+    survivor_vectors = []
+    for space in survivor_spaces:
+        vectors = [0]  # every XOR combination of the RREF rows, 0 first
+        for row in space.basis._words:
+            vectors += [v ^ row for v in vectors]
+        survivor_vectors.append(sorted(vectors[1:], key=lambda w: _word_text(w, m)))
 
-    verdicts: Dict[Tuple[int, ...], bool] = {}
-
-    def admitted(cand: Tuple[int, ...]) -> bool:
-        if cand not in verdicts:
-            verdicts[cand] = admits(cand)
-            state.spec_checks += 1
-        return verdicts[cand]
-
+    checked: Dict[Tuple[int, ...], bool] = {}
     dead: Set[Tuple[int, ...]] = set()  # spans with no admitted candidate
+    new_words: Optional[Tuple[int, ...]] = None
     for picked in product(*survivor_vectors):
         span = tuple(_rref_words(picked))
-        if span in dead:
+        if len(span) < dim or span in dead:
             continue
-        new_words = next(filter(admitted, _subspace_words(span, spec.node_dim)), None)
+        for cand in _subspace_words(span, dim):
+            verdict = checked.get(cand)
+            if verdict is None:
+                verdict = checked[cand] = admits(cand)
+                state.spec_checks += 1
+            if verdict:
+                new_words = cand
+                break
         if new_words is not None:
             break
         dead.add(span)

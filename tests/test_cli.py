@@ -787,6 +787,12 @@ CONSOLE_PINS = {
         "example3", False, f"{SIMULATE} 1000 simulate",
         "a85c53fa422912d9ba20250298e60dd97f4215f1aa19a4cf40ce2d96e16c67e2",
     ),
+    # Five times the marathon, where the verdict table nears its bound
+    # on example3 (27 686 of 28 830 entries).
+    "simulate-example3-5000": (
+        "example3", False, f"{SIMULATE} 5000 simulate",
+        "d7ec09849f2b9263678939502a4a3a05dbb21d7e2f5aa2a5ece5f08af5d5d6ff",
+    ),
     "simulate-example1": (
         "example1", False, f"{SIMULATE} 200 simulate",
         "8cfa214d5bc272b9491403f1dea2acdaa06523bc148b506ce67c06dfe07868ca",

@@ -1,5 +1,6 @@
 """Tests for the failure/repair simulator in both repair modes."""
 
+import dataclasses
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from storagecodes.sim import (
     run_scenario,
     trace_to_text,
 )
-from test_sim_oracle import SPEC_STUCK, SPEC_STUCK_BASES
+from test_sim_oracle import SPEC_STUCK, SPEC_STUCK_BASES, marathon
 
 
 def fresh_exact(word=0b1011):
@@ -355,8 +356,8 @@ def test_functional_counters_equal_trace_values(monkeypatch):
     checked = []
     original = FunctionalSpec.admitter
 
-    def admitter(self, others):
-        admits = original(self, others)
+    def admitter(self, others, verdicts=None):
+        admits = original(self, others, verdicts)
 
         def recorded(words):
             checked.append(tuple(words))
@@ -378,36 +379,57 @@ def test_functional_counters_equal_trace_values(monkeypatch):
     assert state.spec_checks == len(checked) > 0
 
 
-def _marathon(fresh_rule=False):
-    """The benchmark marathon's inputs at seed 0: 1000 example-3 repairs,
-    with a fresh rule before every repair if fresh_rule."""
-    spec = example3_spec()
-    rng = random.Random(0)
-    x = BitVector(5, 1 + rng.randrange(31))
-    state = encode_functional(spec, example3_initial_bases(), x)
-    for victim in [rng.randrange(4) for _ in range(1000)]:
-        if fresh_rule:
-            state.rule = sim.FunctionalRepair(spec)
-        fail(state, victim)
-        functional_repair(state, victim)
-    return state
-
-
 def test_functional_spec_checks_are_pinned():
     # 21 041 distinct candidates go to the spec's admitter predicate in
     # 727 searches; skipping spans already searched must not change that.
-    state = _marathon()
+    state = marathon()
     assert (state.repairs, state.symbols_transferred, state.spec_checks) == (1000, 3000, 21041)
 
 
 def test_a_survivor_configuration_seen_before_is_searched_once():
-    state = _marathon()
+    state = marathon()
     assert (state.spec_checks, len(state.rule.searched)) == (21041, 727)
     # A fresh rule before every repair searches every time.  Its count
     # pins the search order: 28 603 distinct candidates in 1000 searches.
-    fresh = _marathon(fresh_rule=True)
+    fresh = marathon(fresh_rule=True)
     assert fresh.spec_checks == 28603
     assert trace_to_text(fresh.trace) == trace_to_text(state.trace)
+
+
+def test_each_rule_test_runs_once_per_rule_instance():
+    # The admitter runs a rule test only for a (rule, prefix, candidate)
+    # its table lacks, and keeps the verdict: 17 449 tests in the seed-0
+    # marathon, where 49 005 ran before the table.  The precondition
+    # runs the 4 tests over the 3 survivors at every repair, and the
+    # bootstrap the 10 over the 4 initial spaces.
+    calls = []
+
+    def counted(test):
+        def run(prefix, words):
+            calls.append(None)
+            return test(prefix, words)
+
+        return run
+
+    spec = example3_spec()
+    spec = dataclasses.replace(spec, rules=tuple((n, t, counted(f)) for n, t, f in spec.rules))
+    state = marathon(spec=spec)
+    entries = sum(map(len, state.rule.verdicts.values()))
+    assert (entries, len(calls) - 4 * state.repairs - 10) == (17449, 17449)
+    assert state.spec_checks == 21041
+
+
+def test_the_verdict_table_is_bounded_on_example3():
+    # A rule-1 prefix is a survivor's space and a rule-2 prefix the sum
+    # of two that meet trivially, so (155 two-dimensional spaces + 31
+    # hyperplanes) x 155 two-dimensional candidates bound the table.
+    state = marathon(rounds=5000)
+    table = state.rule.verdicts
+    assert {(i, len(prefix)) for i, prefix in table} == {(0, 2), (1, 4)}
+    assert all(len(words) == 2 for known in table.values() for words in known)
+    assert len(table) <= 155 + 31
+    assert max(map(len, table.values())) <= 155
+    assert 0 < sum(map(len, table.values())) <= 28830
 
 
 def test_a_stuck_search_is_not_cached():

@@ -25,6 +25,7 @@ from storagecodes.codes import find_repair_plan
 from storagecodes.constructions import (
     FunctionalSpec,
     _spans,
+    _sum_rref,
     _trivial_meet,
     example3,
     example3_initial_bases,
@@ -38,6 +39,7 @@ from storagecodes.gf2 import (
     subspace_sum,
 )
 from storagecodes.sim import (
+    FunctionalRepair,
     SimulationError,
     StuckError,
     encode,
@@ -76,9 +78,11 @@ def reference_record(state, failed, picks, cand):
     )
 
 
-def check_rounds(spec, bases, seed, rounds):
+def check_rounds(spec, bases, seed, rounds, before_repair=None):
     """Compare functional_repair with the reference over seeded rounds,
-    and each prepared repair's masks with the received-rows oracle."""
+    and each prepared repair's masks with the received-rows oracle.
+    before_repair, if given, sees the state, the failed node and the
+    reference's new space before each repair."""
     rng = random.Random(seed)
     messages = random.Random(seed + 1)  # for the masks, apart from the victims
     x = BitVector(spec.ambient_dim, rng.randrange(1 << spec.ambient_dim))
@@ -88,6 +92,8 @@ def check_rounds(spec, bases, seed, rounds):
         fail(state, victim)
         picks, cand = reference_repair(state, victim)
         expected = reference_record(state, victim, picks, cand)
+        if before_repair is not None:
+            before_repair(state, victim, cand)
         prepared = state.rule.prepare(state, victim)
         _check_masks(prepared, messages, spec.ambient_dim)
         # A configuration already searched gets the entry its search cached.
@@ -102,6 +108,32 @@ def check_rounds(spec, bases, seed, rounds):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_functional_repair_matches_reference_on_example3(seed):
     check_rounds(example3_spec(), example3_initial_bases(), seed, 110)
+
+
+def test_a_flipped_verdict_fails_the_reference_comparison():
+    # Before the first repair whose search reads a kept True verdict of
+    # the reference's new space, flip that verdict: the search skips the
+    # space the reference picks, so the records differ.
+    spec = example3_spec()
+    flipped = []
+
+    def flip(state, victim, cand):
+        others = [Subspace.from_matrix(state.bases[i]) for i in sorted(state.live)]
+        key = (victim, *(space.basis._words for space in others))
+        if flipped or key in state.rule.searched:
+            return
+        words = tuple(cand.basis.words())
+        for i, (_, t, _) in enumerate(spec.rules):
+            for subset in combinations(others, t - 1):
+                known = state.rule.verdicts.get((i, tuple(_sum_rref(subset))), {})
+                if known.get(words):
+                    known[words] = False
+                    flipped.append((i, victim))
+                    return
+
+    with pytest.raises(AssertionError, match="new_basis="):
+        check_rounds(spec, example3_initial_bases(), 0, 110, flip)
+    assert len(flipped) == 1
 
 
 def _avoids_e0(prefix, words):
@@ -213,17 +245,62 @@ def test_rank_rules_match_vector_counts():
 def test_admitter_matches_full_spec_check(spec, bases, count):
     # The prepared predicate reduces the survivor subsets once (t = 1, 2
     # and 3 between the two specs); the full check of all four spaces
-    # is the oracle, on every two-dimensional candidate.
+    # is the oracle, on every two-dimensional candidate.  One verdict
+    # table serves the admitters of every survivor set, as it serves
+    # every search of a FunctionalRepair; an admitter without one starts
+    # its own.
     candidates = brute_subspaces(spec.ambient_dim, 2)
     assert len(candidates) == count
+    table = {}
     verdicts = set()
     for others in reached_survivor_sets(spec, bases, 200, 7):
-        admits = spec.admitter(others)
+        shared, alone = spec.admitter(others, table), spec.admitter(others)
         for cand in candidates:
-            verdict = admits(cand.basis.words())
-            assert verdict == spec.satisfied(list(others) + [cand])
+            verdict = spec.satisfied(list(others) + [cand])
+            assert shared(cand.basis.words()) == alone(cand.basis.words()) == verdict
             verdicts.add(verdict)
     assert verdicts == {True, False}
+    assert table
+
+
+def marathon(fresh_rule=False, spec=None, rounds=1000):
+    """The benchmark marathon's inputs at seed 0, for rounds example-3
+    repairs (the benchmark runs 1000), with a fresh rule before every
+    repair if fresh_rule; spec, if given, replaces example 3's."""
+    spec = spec or example3_spec()
+    rng = random.Random(0)
+    x = BitVector(5, 1 + rng.randrange(31))
+    state = encode_functional(spec, example3_initial_bases(), x)
+    for victim in [rng.randrange(4) for _ in range(rounds)]:
+        if fresh_rule:
+            state.rule = FunctionalRepair(spec)
+        fail(state, victim)
+        functional_repair(state, victim)
+    return state
+
+
+def _meets_trivially(pair):
+    return len(_sums(pair)) == len(_vectors(pair[0])) * len(_vectors(pair[1]))
+
+
+def test_kept_verdicts_match_their_tests_and_vector_counts():
+    # Every verdict kept over 1000 example-3 repairs, against its rule's
+    # test called again on fresh lists and against the vector counts of
+    # test_rank_rules_match_vector_counts on the prefix's span and the
+    # candidate's.
+    spec = example3_spec()
+    state = marathon(spec=spec)
+    brute = [_meets_trivially, lambda pair: len(_sums(pair)) == 1 << 5]
+    assert [t for _, t, _ in spec.rules] == [2, 3]
+    seen = set()
+    for (i, prefix), known in state.rule.verdicts.items():
+        test = spec.rules[i][2]
+        span = Subspace(5, BitMatrix.from_words(5, prefix))
+        for words, verdict in known.items():
+            assert test(list(prefix), list(words)) == verdict
+            assert brute[i]((span, Subspace(5, BitMatrix.from_words(5, words)))) == verdict
+            seen.add((i, verdict))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
 
 
 # ---------------------------------------------------------------------------
