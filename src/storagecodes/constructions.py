@@ -139,7 +139,13 @@ class FunctionalSpec:
 
 
 def _sum_rref(spaces: Sequence[Subspace]) -> List[int]:
-    """The RREF basis words of the sum of spaces."""
+    """The RREF basis words of the sum of spaces.
+
+    A Subspace's basis is in RREF already, so one space's words are
+    returned as they are, in a new list.
+    """
+    if len(spaces) == 1:
+        return spaces[0].basis.words()
     return _rref_words(w for space in spaces for w in space.basis.words())
 
 

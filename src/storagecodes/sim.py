@@ -133,16 +133,24 @@ class FunctionalRepair:
     survivors' spaces, so `searched` keeps the prepared repair (see
     _PreparedRepair) under (failed node, each survivor's RREF words),
     and a configuration seen before is not searched again.  A search
-    that gets stuck caches nothing.  A survivor keeps its space until
+    that gets stuck keeps nothing there.  A survivor keeps its space until
     it fails, so searches of new configurations repeat rule tests:
     `verdicts` keeps each test's verdict (see FunctionalSpec.admitter)
     for every search of this rule.  It is kept here, not on the spec,
-    so spec.violations and spec.satisfied never read it.
+    so spec.violations and spec.satisfied never read it.  Different
+    searches also walk the same spans: `candidates` keeps, under a
+    span's RREF words, the tuple of its node_dim-dimensional subspaces
+    in _subspace_words order, stored once a search has walked the whole
+    span without an admitted candidate, and later searches read it
+    instead of enumerating the span again.
     """
 
     spec: FunctionalSpec
     searched: Dict[tuple, _PreparedRepair] = field(default_factory=dict, repr=False)
     verdicts: Verdicts = field(default_factory=dict, repr=False)
+    candidates: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __call__(self, state: SystemState, failed: int) -> None:
         functional_repair(state, failed)
@@ -404,11 +412,15 @@ def _search_functional(
     different picks often span the same space.  A span of fewer than
     node_dim rows holds no candidate.  The first span that holds an
     admitted one ends the search.  Each rule test's verdict is kept
-    across searches in the rule's verdicts table (see spec.admitter).
+    across searches in the rule's verdicts table (see spec.admitter),
+    and each span walked to its end, in its candidates table (see
+    FunctionalRepair); a span is only ever enumerated as far as a
+    search walks it.
     """
     spec = state.rule.spec
     m, dim = state.message_dim, spec.node_dim
     admits = spec.admitter(survivor_spaces, state.rule.verdicts)
+    candidates = state.rule.candidates
 
     survivor_vectors = []
     for space in survivor_spaces:
@@ -424,7 +436,10 @@ def _search_functional(
         span = tuple(_rref_words(picked))
         if len(span) < dim or span in dead:
             continue
-        for cand in _subspace_words(span, dim):
+        known = candidates.get(span)
+        walked = []
+        for cand in _subspace_words(span, dim) if known is None else known:
+            walked.append(cand)
             verdict = checked.get(cand)
             if verdict is None:
                 verdict = checked[cand] = admits(cand)
@@ -435,6 +450,8 @@ def _search_functional(
         if new_words is not None:
             break
         dead.add(span)
+        if known is None:
+            candidates[span] = tuple(walked)
     else:
         raise StuckError(f"no spec-satisfying replacement exists for node {failed}")
     new_space = Subspace._canonical(m, new_words)

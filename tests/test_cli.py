@@ -793,6 +793,12 @@ CONSOLE_PINS = {
         "example3", False, f"{SIMULATE} 5000 simulate",
         "d7ec09849f2b9263678939502a4a3a05dbb21d7e2f5aa2a5ece5f08af5d5d6ff",
     ),
+    # Twenty times the marathon, where the candidate table is nearly
+    # full on example3 (300 of at most 310 spans).
+    "simulate-example3-20000": (
+        "example3", False, f"{SIMULATE} 20000 simulate",
+        "2c41ebb705b3352cd064620591f5fd01180cbfb8bee7840ea8db2897d42093c3",
+    ),
     "simulate-example1": (
         "example1", False, f"{SIMULATE} 200 simulate",
         "8cfa214d5bc272b9491403f1dea2acdaa06523bc148b506ce67c06dfe07868ca",

@@ -20,6 +20,7 @@ from storagecodes.codes import (
     validate_plan,
 )
 from storagecodes.constructions import (
+    _sum_rref,
     _trivial_meet,
     _verify,
     example1,
@@ -35,6 +36,7 @@ from storagecodes.gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
+    _rref_words,
     subspace_intersect,
     subspace_sum,
 )
@@ -244,8 +246,10 @@ def test_functional_spec_flags_violations():
         subspace_sum([e("00010"), e("00001")]),
         subspace_sum([e("01000"), e("00010")]),
     ]
-    problems = spec.violations(overlapping)
-    assert any("intersect" in p for p in problems)
+    assert spec.violations(overlapping) == [
+        "any two storage spaces intersect trivially",
+        "any three storage spaces span the message space",
+    ]
 
 
 def test_spec_rules_ignore_lists_shorter_than_their_subsets():
@@ -283,7 +287,22 @@ def test_functional_spec_flags_wrong_dimension():
     spec = example3_spec()
     spaces = [Subspace.spanned_by(5, b.rows) for b in example3_initial_bases()]
     spaces[0] = Subspace.spanned_by(5, [BitVector.from_string("10000")])
-    assert any("dim" in p for p in spec.violations(spaces))
+    assert spec.violations(spaces) == [
+        "a storage space has dim 1, expected 2",
+        "any three storage spaces span the message space",
+    ]
+
+
+def test_one_space_prefix_is_its_own_rref_words():
+    # A Subspace's basis is in RREF, so _sum_rref returns one space's
+    # words unreduced, in a list the caller may change.
+    spaces = brute_subspaces(5, 2)
+    assert len(spaces) == 155
+    for space in spaces:
+        words = _sum_rref([space])
+        assert words == _rref_words(space.basis.words())
+        words.append(1)
+        assert _sum_rref([space]) == _rref_words(space.basis.words()) == list(space.basis._words)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,36 @@ def test_a_survivor_configuration_seen_before_is_searched_once():
     assert trace_to_text(fresh.trace) == trace_to_text(state.trace)
 
 
+def _counted_enumerations(monkeypatch):
+    """Count the spans sim enumerates with _subspace_words and the
+    candidates it yields."""
+    counts = {"spans": 0, "candidates": 0}
+    original = sim._subspace_words
+
+    def counted(basis, dim):
+        counts["spans"] += 1
+        for cand in original(basis, dim):
+            counts["candidates"] += 1
+            yield cand
+
+    monkeypatch.setattr(sim, "_subspace_words", counted)
+    return counts
+
+
+def test_each_dead_span_is_enumerated_once_per_rule(monkeypatch):
+    # A search enumerates a span unless the rule's candidates table
+    # holds it: 265 enumerations yielding 1 316 candidates in the seed-0
+    # marathon, where 4 486 yielding 27 066 ran before the table.  A
+    # fresh rule before every repair starts each search with an empty
+    # table, so it enumerates every span it walks, as before.
+    counts = _counted_enumerations(monkeypatch)
+    state = marathon()
+    assert (counts["spans"], counts["candidates"], state.spec_checks) == (265, 1316, 21041)
+    counts.update(spans=0, candidates=0)
+    fresh = marathon(fresh_rule=True)
+    assert (counts["spans"], counts["candidates"], fresh.spec_checks) == (6093, 36742, 28603)
+
+
 def test_each_rule_test_runs_once_per_rule_instance():
     # The admitter runs a rule test only for a (rule, prefix, candidate)
     # its table lacks, and keeps the verdict: 17 449 tests in the seed-0
@@ -419,12 +449,16 @@ def test_each_rule_test_runs_once_per_rule_instance():
     assert state.spec_checks == 21041
 
 
-def test_the_verdict_table_is_bounded_on_example3():
+@pytest.fixture(scope="module")
+def five_thousand_rounds():
+    return marathon(rounds=5000)
+
+
+def test_the_verdict_table_is_bounded_on_example3(five_thousand_rounds):
     # A rule-1 prefix is a survivor's space and a rule-2 prefix the sum
     # of two that meet trivially, so (155 two-dimensional spaces + 31
     # hyperplanes) x 155 two-dimensional candidates bound the table.
-    state = marathon(rounds=5000)
-    table = state.rule.verdicts
+    table = five_thousand_rounds.rule.verdicts
     assert {(i, len(prefix)) for i, prefix in table} == {(0, 2), (1, 4)}
     assert all(len(words) == 2 for known in table.values() for words in known)
     assert len(table) <= 155 + 31
@@ -432,16 +466,33 @@ def test_the_verdict_table_is_bounded_on_example3():
     assert 0 < sum(map(len, table.values())) <= 28830
 
 
-def test_a_stuck_search_is_not_cached():
+def test_the_candidate_table_is_bounded_on_example3(five_thousand_rounds):
+    # A kept span is spanned by three picks in GF(2)^5 and holds a
+    # two-dimensional candidate: one of the 155 two-dimensional or 155
+    # three-dimensional subspaces.
+    table = five_thousand_rounds.rule.candidates
+    assert {len(span) for span in table} == {2, 3}
+    assert 0 < len(table) <= 155 + 155
+
+
+def test_a_stuck_search_is_not_cached(monkeypatch):
+    # Every span a stuck search walks holds no admitted candidate, so the
+    # candidates table keeps each, and a second attempt reads them all
+    # and checks as many candidates before it gets stuck again.
+    counts = _counted_enumerations(monkeypatch)
     state = encode_functional(SPEC_STUCK, SPEC_STUCK_BASES, BitVector(4, 0b1101))
     fail(state, 0)
     with pytest.raises(StuckError):
         functional_repair(state, 0)
-    checks = state.spec_checks
+    checks, kept = state.spec_checks, dict(state.rule.candidates)
+    assert state.rule.searched == {}
+    assert counts["spans"] == len(kept) > 0
     with pytest.raises(StuckError, match="^no spec-satisfying replacement exists for node 0$"):
         functional_repair(state, 0)
     assert state.spec_checks == 2 * checks > 0
     assert state.rule.searched == {}
+    assert counts["spans"] == len(kept)
+    assert state.rule.candidates == kept
 
 
 def test_the_survivors_are_checked_on_a_configuration_already_searched():

@@ -36,6 +36,8 @@ from storagecodes.gf2 import (
     BitVector,
     Subspace,
     _reduce,
+    _rref_words,
+    _subspace_words,
     subspace_sum,
 )
 from storagecodes.sim import (
@@ -80,9 +82,9 @@ def reference_record(state, failed, picks, cand):
 
 def check_rounds(spec, bases, seed, rounds, before_repair=None):
     """Compare functional_repair with the reference over seeded rounds,
-    and each prepared repair's masks with the received-rows oracle.
-    before_repair, if given, sees the state, the failed node and the
-    reference's new space before each repair."""
+    and each prepared repair's masks with the received-rows oracle;
+    return the state.  before_repair, if given, sees the state, the
+    failed node and the reference's new space before each repair."""
     rng = random.Random(seed)
     messages = random.Random(seed + 1)  # for the masks, apart from the victims
     x = BitVector(spec.ambient_dim, rng.randrange(1 << spec.ambient_dim))
@@ -103,6 +105,7 @@ def check_rounds(spec, bases, seed, rounds, before_repair=None):
         assert state.bases[victim] is prepared.basis
         assert Subspace.from_matrix(state.bases[victim]) == cand
         assert state.bases[victim].to_strings() == cand.basis.to_strings()
+    return state
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -164,6 +167,69 @@ SPEC_M4_BASES = [
 @pytest.mark.parametrize("seed", [0, 5])
 def test_functional_repair_matches_reference_on_second_spec(seed):
     check_rounds(SPEC_M4, SPEC_M4_BASES, seed, 80)
+
+
+# m=4 with the same single-space rule and a rule on triples.  Unlike
+# example 3 and SPEC_M4, whose rules make each candidate avoid every
+# survivor's pick, so that a span holds at most one admitted candidate,
+# a span here often holds several, and the candidate order within a
+# span shows in the records.
+SPEC_M4_SPANS = FunctionalSpec(
+    name="m4-avoid-e0-spans",
+    ambient_dim=4,
+    node_count=4,
+    node_dim=2,
+    beta=1,
+    rules=(
+        ("no storage space contains e0", 1, _avoids_e0),
+        ("any three storage spaces span the message space", 3, _spans(4)),
+    ),
+)
+SPEC_M4_SPANS_BASES = [
+    BitMatrix.from_strings(rows)
+    for rows in (["0101", "0011"], ["1011", "0110"], ["1001", "0011"], ["0110", "0001"])
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_functional_repair_matches_reference_on_a_spec_with_several_admitted(seed):
+    check_rounds(SPEC_M4_SPANS, SPEC_M4_SPANS_BASES, seed, 80)
+
+
+def test_swapped_kept_candidates_fail_the_reference_comparison():
+    # Before the first search that reads the span of the reference's
+    # picks from the candidates table, where a later candidate is also
+    # admitted, swap the two there: the search takes the later one from
+    # the same picks, so the records differ.
+    spec, m = SPEC_M4_SPANS, SPEC_M4_SPANS.ambient_dim
+    swapped = []
+
+    def swap(state, victim, cand):
+        others = [Subspace.from_matrix(state.bases[i]) for i in sorted(state.live)]
+        key = (victim, *(space.basis._words for space in others))
+        if swapped or key in state.rule.searched:
+            return
+        picks, _ = reference_repair(state, victim)
+        span = tuple(_rref_words(v.word for v in picks))
+        kept = state.rule.candidates.get(span)
+        if kept is None:
+            return
+        i = kept.index(tuple(cand.basis.words()))
+        spaces = [Subspace.from_matrix(b) for b in state.bases]
+        for j in range(i + 1, len(kept)):
+            other = Subspace(m, BitMatrix.from_words(m, kept[j]))
+            if spec.satisfied(spaces[:victim] + [other] + spaces[victim + 1:]):
+                order = list(kept)
+                order[i], order[j] = order[j], order[i]
+                state.rule.candidates[span] = tuple(order)
+                swapped.append(span)
+                return
+
+    # The record comparison fails; pytest shortens its message, so the
+    # match is on its start.
+    with pytest.raises(AssertionError, match="^assert 'epoch="):
+        check_rounds(spec, SPEC_M4_SPANS_BASES, 0, 80, swap)
+    assert len(swapped) == 1
 
 
 # Three nodes, 2-dim spaces in GF(2)^4 that meet pairwise trivially.  A
@@ -277,6 +343,26 @@ def marathon(fresh_rule=False, spec=None, rounds=1000):
         fail(state, victim)
         functional_repair(state, victim)
     return state
+
+
+def _check_candidate_table(rule):
+    """Every kept span's candidates against the generator and against
+    gf2_brute's XOR closure, which lists them in the same order; return
+    the number of spans kept."""
+    dim = rule.spec.node_dim
+    for span, candidates in rule.candidates.items():
+        assert len(span) >= dim
+        assert candidates == tuple(_subspace_words(span, dim))
+        assert candidates == gf2_brute.subspaces(span, dim)
+    return len(rule.candidates)
+
+
+def test_kept_candidates_match_the_generator_and_the_xor_closure():
+    # Only spans walked to their end without an admitted candidate are
+    # kept: 226 of the seed-0 marathon's spans on example 3.
+    assert _check_candidate_table(marathon().rule) == 226
+    for spec, bases in ((SPEC_M4, SPEC_M4_BASES), (SPEC_M4_SPANS, SPEC_M4_SPANS_BASES)):
+        assert _check_candidate_table(check_rounds(spec, bases, 5, 80).rule) > 0
 
 
 def _meets_trivially(pair):
