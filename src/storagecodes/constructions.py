@@ -100,7 +100,7 @@ class FunctionalSpec:
         return not self.violations(spaces)
 
     def admitter(
-        self, others: Sequence[Subspace], verdicts: Optional[Verdicts] = None
+        self, others: Sequence[Subspace], verdicts: Verdicts
     ) -> Callable[[Sequence[int]], bool]:
         """A predicate on a candidate's RREF basis words: whether others
         plus the candidate satisfy the spec, given that others do.
@@ -114,11 +114,8 @@ class FunctionalSpec:
         A test's verdict depends only on its prefix and the candidate,
         so verdicts keeps each under (rule index, prefix words), then
         the candidate's words, and a test is run only on a miss.  The
-        table may be shared by every admitter of this spec; without one
-        the admitter starts its own.
+        table may be shared by every admitter of this spec.
         """
-        if verdicts is None:
-            verdicts = {}
         checks = []
         for i, (_, t, test) in enumerate(self.rules):
             for subset in combinations(others, t - 1):

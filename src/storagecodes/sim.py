@@ -130,23 +130,24 @@ class FunctionalRepair:
     """The newcomer may store any subspace the specification admits.
 
     The candidate search depends only on the failed node and the
-    survivors' spaces, so `searched` keeps the prepared repair (see
-    _PreparedRepair) under (failed node, each survivor's RREF words),
-    and a configuration seen before is not searched again.  A search
-    that gets stuck keeps nothing there.  A survivor keeps its space until
-    it fails, so searches of new configurations repeat rule tests:
-    `verdicts` keeps each test's verdict (see FunctionalSpec.admitter)
-    for every search of this rule.  It is kept here, not on the spec,
-    so spec.violations and spec.satisfied never read it.  Different
-    searches also walk the same spans: `candidates` keeps, under a
-    span's RREF words, the tuple of its node_dim-dimensional subspaces
-    in _subspace_words order, stored once a search has walked the whole
-    span without an admitted candidate, and later searches read it
-    instead of enumerating the span again.
+    survivors' spaces, so `last` keeps the configuration searched last,
+    as (failed node, each survivor's width and RREF words), with its
+    prepared repair (see _PreparedRepair).  A repair of the same
+    configuration, such as a node failing twice in a row, reuses it;
+    any other is searched and replaces it.  A stuck search leaves `last`
+    as it was.  A survivor keeps its space until it fails, so searches
+    repeat rule tests: `verdicts` keeps each test's verdict (see
+    FunctionalSpec.admitter) for every search of this rule.  It is kept
+    here, not on the spec, so spec.violations and spec.satisfied never
+    read it.  Searches also meet the same spans: `candidates` keeps,
+    under a span's RREF words, the tuple of its node_dim-dimensional
+    subspaces in _subspace_words order, stored the first time a search
+    meets the span.  Both tables are bounded by the spec, not by the
+    number of repairs.
     """
 
     spec: FunctionalSpec
-    searched: Dict[tuple, _PreparedRepair] = field(default_factory=dict, repr=False)
+    last: Optional[Tuple[tuple, _PreparedRepair]] = field(default=None, repr=False)
     verdicts: Verdicts = field(default_factory=dict, repr=False)
     candidates: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
         default_factory=dict, repr=False
@@ -156,20 +157,22 @@ class FunctionalRepair:
         functional_repair(state, failed)
 
     def prepare(self, state: SystemState, failed: int) -> _PreparedRepair:
-        """The repair of failed from the live nodes, searched on first use."""
+        """The repair of failed from the live nodes, searched unless it
+        repeats the configuration last searched."""
         survivors = sorted(state.live)
         survivor_spaces = [Subspace.from_matrix(state.bases[i]) for i in survivors]
+        # A space enters the key as its width and RREF words, as in
+        # ExactRepair.prepare.
+        key = (failed, *((s.ambient_dim, s.basis._words) for s in survivor_spaces))
+        if self.last is not None and self.last[0] == key:
+            # The search is deterministic, and this configuration passed
+            # the precondition below when it was searched.
+            return self.last[1]
         # This check is the precondition of spec.admitter in _search_functional.
         if self.spec.violations(survivor_spaces):
             raise SimulationError("survivors no longer satisfy the specification")
-        # A space enters the key as its RREF words, as in ExactRepair.prepare;
-        # the precondition has fixed every width to the spec's.
-        key = (failed, *(space.basis._words for space in survivor_spaces))
-        prepared = self.searched.get(key)
-        if prepared is None:
-            prepared = self.searched[key] = _search_functional(
-                state, failed, survivors, survivor_spaces
-            )
+        prepared = _search_functional(state, failed, survivors, survivor_spaces)
+        self.last = (key, prepared)
         return prepared
 
 
@@ -180,9 +183,10 @@ class SystemState:
     The counters tally the repairs made, the symbols their helpers sent,
     the plans exact repair searched for, and the distinct candidates
     each functional-repair search checked against the spec (a repair
-    its rule already searched checks none); they are kept out of the
-    trace.  symbol_rows keeps each node's reduced symbol rows under
-    the basis and block word they came from (see _symbol_rows).
+    that repeats the configuration its rule searched last checks none);
+    they are kept out of the trace.  symbol_rows keeps each node's
+    reduced symbol rows under the basis and block word they came from
+    (see _symbol_rows).
     """
 
     message_dim: int
@@ -384,12 +388,11 @@ def functional_repair(state: SystemState, failed: int) -> None:
     subspaces in canonical enumeration order; the first combination
     satisfying the specification wins, making repairs replayable.
 
-    Every repair checks the survivors against the spec, then takes the
-    rule's prepared repair for (failed node, survivor spaces); only a
-    configuration not seen before is searched (see
-    FunctionalRepair.prepare).  Every repair, searched or not, reads its
-    symbols off the helpers' current blocks and checks the rebuilt
-    block against the message.
+    A repair of the configuration (failed node, survivor spaces) that
+    the rule searched last reuses its prepared repair; any other is
+    checked against the spec and searched (see FunctionalRepair.prepare).
+    Every repair, searched or not, reads its symbols off the helpers'
+    current blocks and checks the rebuilt block against the message.
     """
     if not isinstance(state.rule, FunctionalRepair):
         raise SimulationError("functional_repair requires a functional-repair state")
@@ -406,16 +409,14 @@ def _search_functional(
     """The first admitted repair of failed from the survivors, prepared.
 
     The search runs on int words.  The survivors are fixed, so the
-    spec's rule subsets of survivors are reduced once (spec.admitter), a
-    verdict depends on the candidate alone, and whether a span holds an
-    admitted candidate on the span alone; both are memoised, since
+    spec's rule subsets of survivors are reduced once (spec.admitter),
+    and a verdict depends on the candidate alone; it is memoised, since
     different picks often span the same space.  A span of fewer than
     node_dim rows holds no candidate.  The first span that holds an
     admitted one ends the search.  Each rule test's verdict is kept
     across searches in the rule's verdicts table (see spec.admitter),
-    and each span walked to its end, in its candidates table (see
-    FunctionalRepair); a span is only ever enumerated as far as a
-    search walks it.
+    and each span's candidates in its candidates table (see
+    FunctionalRepair), so a span is enumerated once per rule.
     """
     spec = state.rule.spec
     m, dim = state.message_dim, spec.node_dim
@@ -430,16 +431,15 @@ def _search_functional(
         survivor_vectors.append(sorted(vectors[1:], key=lambda w: _word_text(w, m)))
 
     checked: Dict[Tuple[int, ...], bool] = {}
-    dead: Set[Tuple[int, ...]] = set()  # spans with no admitted candidate
     new_words: Optional[Tuple[int, ...]] = None
     for picked in product(*survivor_vectors):
         span = tuple(_rref_words(picked))
-        if len(span) < dim or span in dead:
+        if len(span) < dim:
             continue
         known = candidates.get(span)
-        walked = []
-        for cand in _subspace_words(span, dim) if known is None else known:
-            walked.append(cand)
+        if known is None:
+            known = candidates[span] = tuple(_subspace_words(span, dim))
+        for cand in known:
             verdict = checked.get(cand)
             if verdict is None:
                 verdict = checked[cand] = admits(cand)
@@ -449,9 +449,6 @@ def _search_functional(
                 break
         if new_words is not None:
             break
-        dead.add(span)
-        if known is None:
-            candidates[span] = tuple(walked)
     else:
         raise StuckError(f"no spec-satisfying replacement exists for node {failed}")
     new_space = Subspace._canonical(m, new_words)

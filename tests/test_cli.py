@@ -781,8 +781,9 @@ CONSOLE_PINS = {
         "example3", False, f"{SIMULATE} 200 simulate",
         "2458d42b5ffa011c5ab69c4bcc290c40a21f463645ad32992c884809ec3dc0bc",
     ),
-    # The benchmark marathon's length, at which 273 of the 1000 repairs
-    # meet a survivor configuration already searched.
+    # The benchmark marathon's length, at which 263 of the 1000 repairs
+    # repeat the survivor configuration searched last and are not
+    # searched.
     "simulate-example3-1000": (
         "example3", False, f"{SIMULATE} 1000 simulate",
         "a85c53fa422912d9ba20250298e60dd97f4215f1aa19a4cf40ce2d96e16c67e2",

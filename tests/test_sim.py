@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -356,7 +357,7 @@ def test_functional_counters_equal_trace_values(monkeypatch):
     checked = []
     original = FunctionalSpec.admitter
 
-    def admitter(self, others, verdicts=None):
+    def admitter(self, others, verdicts):
         admits = original(self, others, verdicts)
 
         def recorded(words):
@@ -380,19 +381,40 @@ def test_functional_counters_equal_trace_values(monkeypatch):
 
 
 def test_functional_spec_checks_are_pinned():
-    # 21 041 distinct candidates go to the spec's admitter predicate in
-    # 727 searches; skipping spans already searched must not change that.
+    # 21 282 distinct candidates go to the spec's admitter predicate in
+    # 737 searches; reading spans from the candidates table must not
+    # change that.
     state = marathon()
-    assert (state.repairs, state.symbols_transferred, state.spec_checks) == (1000, 3000, 21041)
+    assert (state.repairs, state.symbols_transferred, state.spec_checks) == (1000, 3000, 21282)
 
 
-def test_a_survivor_configuration_seen_before_is_searched_once():
+def _counted_searches(monkeypatch):
+    """Count the searches FunctionalRepair.prepare starts."""
+    counts = {"searches": 0}
+    original = sim._search_functional
+
+    def counted(*args):
+        counts["searches"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(sim, "_search_functional", counted)
+    return counts
+
+
+def test_the_configuration_searched_last_is_not_searched_again(monkeypatch):
+    # A repair leaves every other node as it was, so a node that fails
+    # again at once meets the configuration searched last: 263 of the
+    # seed-0 marathon's 1000 repairs, which the rule does not search.
+    counts = _counted_searches(monkeypatch)
     state = marathon()
-    assert (state.spec_checks, len(state.rule.searched)) == (21041, 727)
+    nodes = [dict(ev.payload)["node"] for ev in state.trace if ev.kind == "repair-functional"]
+    repeats = sum(a == b for a, b in zip(nodes, nodes[1:]))
+    assert (repeats, counts["searches"], state.spec_checks) == (263, 1000 - 263, 21282)
     # A fresh rule before every repair searches every time.  Its count
     # pins the search order: 28 603 distinct candidates in 1000 searches.
+    counts["searches"] = 0
     fresh = marathon(fresh_rule=True)
-    assert fresh.spec_checks == 28603
+    assert (counts["searches"], fresh.spec_checks) == (1000, 28603)
     assert trace_to_text(fresh.trace) == trace_to_text(state.trace)
 
 
@@ -412,26 +434,28 @@ def _counted_enumerations(monkeypatch):
     return counts
 
 
-def test_each_dead_span_is_enumerated_once_per_rule(monkeypatch):
-    # A search enumerates a span unless the rule's candidates table
-    # holds it: 265 enumerations yielding 1 316 candidates in the seed-0
-    # marathon, where 4 486 yielding 27 066 ran before the table.  A
-    # fresh rule before every repair starts each search with an empty
-    # table, so it enumerates every span it walks, as before.
+def test_each_span_is_enumerated_once_per_rule(monkeypatch):
+    # A search enumerates a span, whole, unless the rule's candidates
+    # table holds it: 226 enumerations yielding 1 156 candidates in the
+    # seed-0 marathon, one per distinct span.  A fresh rule before every
+    # repair starts each search with an empty table, so it enumerates
+    # each span once per search.
     counts = _counted_enumerations(monkeypatch)
     state = marathon()
-    assert (counts["spans"], counts["candidates"], state.spec_checks) == (265, 1316, 21041)
+    assert (counts["spans"], counts["candidates"], state.spec_checks) == (226, 1156, 21282)
+    assert counts["spans"] == len(state.rule.candidates)
     counts.update(spans=0, candidates=0)
     fresh = marathon(fresh_rule=True)
-    assert (counts["spans"], counts["candidates"], fresh.spec_checks) == (6093, 36742, 28603)
+    assert (counts["spans"], counts["candidates"], fresh.spec_checks) == (6093, 39885, 28603)
 
 
-def test_each_rule_test_runs_once_per_rule_instance():
+def test_each_rule_test_runs_once_per_rule_instance(monkeypatch):
     # The admitter runs a rule test only for a (rule, prefix, candidate)
     # its table lacks, and keeps the verdict: 17 449 tests in the seed-0
     # marathon, where 49 005 ran before the table.  The precondition
-    # runs the 4 tests over the 3 survivors at every repair, and the
+    # runs the 4 tests over the 3 survivors at every search, and the
     # bootstrap the 10 over the 4 initial spaces.
+    searches = _counted_searches(monkeypatch)
     calls = []
 
     def counted(test):
@@ -445,8 +469,8 @@ def test_each_rule_test_runs_once_per_rule_instance():
     spec = dataclasses.replace(spec, rules=tuple((n, t, counted(f)) for n, t, f in spec.rules))
     state = marathon(spec=spec)
     entries = sum(map(len, state.rule.verdicts.values()))
-    assert (entries, len(calls) - 4 * state.repairs - 10) == (17449, 17449)
-    assert state.spec_checks == 21041
+    assert (entries, len(calls) - 4 * searches["searches"] - 10) == (17449, 17449)
+    assert (searches["searches"], state.spec_checks) == (737, 21282)
 
 
 @pytest.fixture(scope="module")
@@ -475,22 +499,47 @@ def test_the_candidate_table_is_bounded_on_example3(five_thousand_rounds):
     assert 0 < len(table) <= 155 + 155
 
 
+def test_functional_repair_memory_does_not_grow_with_the_rounds():
+    # Every table the rule keeps is bounded by the spec, so once they
+    # have filled, more seed-0 example-3 rounds (the trace cleared each
+    # round) leave the traced memory flat: 0.94 MB after 2 000 rounds
+    # and 1.00 MB after 5 000, where a table of every configuration
+    # searched read 2.95 MB and 5.97 MB.
+    rng = random.Random(0)
+    x = BitVector(5, 1 + rng.randrange(31))
+    victims = [rng.randrange(4) for _ in range(5000)]
+    sizes = []
+    tracemalloc.start()
+    try:
+        state = encode_functional(example3_spec(), example3_initial_bases(), x)
+        for i, victim in enumerate(victims, 1):
+            fail(state, victim)
+            functional_repair(state, victim)
+            state.trace.clear()
+            if i in (2000, 5000):
+                sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[1] - sizes[0] <= 250_000, sizes
+
+
 def test_a_stuck_search_is_not_cached(monkeypatch):
-    # Every span a stuck search walks holds no admitted candidate, so the
-    # candidates table keeps each, and a second attempt reads them all
-    # and checks as many candidates before it gets stuck again.
+    # A stuck search leaves the last-repair slot as it was.  The
+    # candidates table keeps every span it met, and a second attempt
+    # reads them all and checks as many candidates before it gets stuck
+    # again.
     counts = _counted_enumerations(monkeypatch)
     state = encode_functional(SPEC_STUCK, SPEC_STUCK_BASES, BitVector(4, 0b1101))
     fail(state, 0)
     with pytest.raises(StuckError):
         functional_repair(state, 0)
     checks, kept = state.spec_checks, dict(state.rule.candidates)
-    assert state.rule.searched == {}
+    assert state.rule.last is None
     assert counts["spans"] == len(kept) > 0
     with pytest.raises(StuckError, match="^no spec-satisfying replacement exists for node 0$"):
         functional_repair(state, 0)
     assert state.spec_checks == 2 * checks > 0
-    assert state.rule.searched == {}
+    assert state.rule.last is None
     assert counts["spans"] == len(kept)
     assert state.rule.candidates == kept
 
@@ -499,15 +548,16 @@ def test_the_survivors_are_checked_on_a_configuration_already_searched():
     state, spec, x = fresh_functional()
     fail(state, 2)
     functional_repair(state, 2)
+    last = state.rule.last
     fail(state, 2)
     functional_repair(state, 2)
-    assert len(state.rule.searched) == 1
+    assert state.rule.last is last
     fail(state, 2)
     # nodes 0 and 1 now store the same space, which the spec forbids
     state.bases[0] = state.bases[1]
     with pytest.raises(SimulationError, match="^survivors no longer satisfy the specification$"):
         functional_repair(state, 2)
-    assert len(state.rule.searched) == 1
+    assert state.rule.last is last
 
 
 def test_exact_counters_equal_trace_values():

@@ -98,7 +98,7 @@ def check_rounds(spec, bases, seed, rounds, before_repair=None):
             before_repair(state, victim, cand)
         prepared = state.rule.prepare(state, victim)
         _check_masks(prepared, messages, spec.ambient_dim)
-        # A configuration already searched gets the entry its search cached.
+        # The configuration just searched gets the repair its search prepared.
         assert state.rule.prepare(state, victim) is prepared
         functional_repair(state, victim)
         assert state.trace[-1].to_record() == expected
@@ -113,6 +113,14 @@ def test_functional_repair_matches_reference_on_example3(seed):
     check_rounds(example3_spec(), example3_initial_bases(), seed, 110)
 
 
+def _searches(state, victim):
+    """Whether repairing victim now searches: its configuration is not
+    the one the rule searched last (see FunctionalRepair.prepare)."""
+    spaces = [Subspace.from_matrix(state.bases[i]) for i in sorted(state.live)]
+    key = (victim, *((s.ambient_dim, s.basis._words) for s in spaces))
+    return state.rule.last is None or state.rule.last[0] != key
+
+
 def test_a_flipped_verdict_fails_the_reference_comparison():
     # Before the first repair whose search reads a kept True verdict of
     # the reference's new space, flip that verdict: the search skips the
@@ -121,10 +129,9 @@ def test_a_flipped_verdict_fails_the_reference_comparison():
     flipped = []
 
     def flip(state, victim, cand):
-        others = [Subspace.from_matrix(state.bases[i]) for i in sorted(state.live)]
-        key = (victim, *(space.basis._words for space in others))
-        if flipped or key in state.rule.searched:
+        if flipped or not _searches(state, victim):
             return
+        others = [Subspace.from_matrix(state.bases[i]) for i in sorted(state.live)]
         words = tuple(cand.basis.words())
         for i, (_, t, _) in enumerate(spec.rules):
             for subset in combinations(others, t - 1):
@@ -137,6 +144,36 @@ def test_a_flipped_verdict_fails_the_reference_comparison():
     with pytest.raises(AssertionError, match="new_basis="):
         check_rounds(spec, example3_initial_bases(), 0, 110, flip)
     assert len(flipped) == 1
+
+
+def test_a_survivor_given_another_space_is_searched_again():
+    # Repair node 2, give node 0 another space that still satisfies the
+    # spec, and fail node 2 again.  The failed node and the survivor set
+    # are the same as in the repair before, but node 0's space is not,
+    # so the rule searches again and its record is the reference's, not
+    # the repair it prepared before.
+    spec = example3_spec()
+    state = encode_functional(spec, example3_initial_bases(), BitVector(5, 0b10110))
+    fail(state, 2)
+    functional_repair(state, 2)
+    last = state.rule.last
+    spaces = state.subspaces()
+    node0 = next(
+        space
+        for space in brute_subspaces(5, 2)
+        if space != spaces[0] and spec.satisfied([space] + spaces[1:])
+    )
+    state.bases[0] = node0.basis
+    state.stored[0] = node0.basis.mat_vec(state.message)
+    fail(state, 2)
+    picks, cand = reference_repair(state, 2)
+    expected = reference_record(state, 2, picks, cand)
+    checks = state.spec_checks
+    functional_repair(state, 2)
+    assert state.trace[-1].to_record() == expected
+    assert state.spec_checks > checks
+    assert state.rule.last is not last
+    assert dict(last[1].fields)["vectors"] != dict(state.trace[-1].payload)["vectors"]
 
 
 def _avoids_e0(prefix, words):
@@ -205,9 +242,7 @@ def test_swapped_kept_candidates_fail_the_reference_comparison():
     swapped = []
 
     def swap(state, victim, cand):
-        others = [Subspace.from_matrix(state.bases[i]) for i in sorted(state.live)]
-        key = (victim, *(space.basis._words for space in others))
-        if swapped or key in state.rule.searched:
+        if swapped or not _searches(state, victim):
             return
         picks, _ = reference_repair(state, victim)
         span = tuple(_rref_words(v.word for v in picks))
@@ -313,14 +348,14 @@ def test_admitter_matches_full_spec_check(spec, bases, count):
     # and 3 between the two specs); the full check of all four spaces
     # is the oracle, on every two-dimensional candidate.  One verdict
     # table serves the admitters of every survivor set, as it serves
-    # every search of a FunctionalRepair; an admitter without one starts
-    # its own.
+    # every search of a FunctionalRepair, and agrees with an admitter
+    # that starts from an empty one.
     candidates = brute_subspaces(spec.ambient_dim, 2)
     assert len(candidates) == count
     table = {}
     verdicts = set()
     for others in reached_survivor_sets(spec, bases, 200, 7):
-        shared, alone = spec.admitter(others, table), spec.admitter(others)
+        shared, alone = spec.admitter(others, table), spec.admitter(others, {})
         for cand in candidates:
             verdict = spec.satisfied(list(others) + [cand])
             assert shared(cand.basis.words()) == alone(cand.basis.words()) == verdict
@@ -358,8 +393,8 @@ def _check_candidate_table(rule):
 
 
 def test_kept_candidates_match_the_generator_and_the_xor_closure():
-    # Only spans walked to their end without an admitted candidate are
-    # kept: 226 of the seed-0 marathon's spans on example 3.
+    # Every span a search meets is kept whole: 226 spans in the seed-0
+    # marathon on example 3.
     assert _check_candidate_table(marathon().rule) == 226
     for spec, bases in ((SPEC_M4, SPEC_M4_BASES), (SPEC_M4_SPANS, SPEC_M4_SPANS_BASES)):
         assert _check_candidate_table(check_rounds(spec, bases, 5, 80).rule) > 0
